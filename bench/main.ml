@@ -43,6 +43,7 @@ module Server = Educhip_serve.Server
 module Scrape = Educhip_mon.Scrape
 module Client = Educhip_serve.Client
 module Chaos = Educhip_serve.Chaos
+module Fs = Educhip_util.Fs
 
 let node130 = Pdk.find_node "edu130"
 
@@ -1112,14 +1113,6 @@ let fault_matrix () =
    (4 workers, the parallel run's cache) -> BENCH_batch.json. *)
 let batch_bench () =
   banner "BATCH" "campaign makespans: serial vs parallel vs warm cache -> BENCH_batch.json";
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let manifest =
     Manifest.parse_string ~source:"bench-batch"
       {|
@@ -1141,8 +1134,8 @@ gray8   tenant=course preset=teaching repeat=2
   let njobs = List.length manifest.Manifest.jobs in
   let dir_serial = "BENCH_batch_cache_serial" in
   let dir_par = "BENCH_batch_cache_parallel" in
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Fs.rm_rf dir_serial;
+  Fs.rm_rf dir_par;
   let campaign ~workers ~dir =
     snd (Sched.run ~workers ~cache:(Cache.create ~dir ()) manifest)
   in
@@ -1150,8 +1143,8 @@ gray8   tenant=course preset=teaching repeat=2
   let workers = min 4 (Sched.default_workers ()) in
   let parallel = campaign ~workers ~dir:dir_par in
   let warm = campaign ~workers ~dir:dir_par in
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Fs.rm_rf dir_serial;
+  Fs.rm_rf dir_par;
   let hit_rate (s : Sched.summary) =
     let total = s.Sched.cache_hits + s.Sched.cache_misses in
     if total = 0 then 0.0 else float_of_int s.Sched.cache_hits /. float_of_int total
@@ -1192,16 +1185,8 @@ gray8   tenant=course preset=teaching repeat=2
 let serve_bench () =
   banner "SERVE"
     "flow service under closed-loop load: 1/4/16 clients -> BENCH_serve.json";
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let cache_dir = "BENCH_serve_cache" in
-  rm_rf cache_dir;
+  Fs.rm_rf cache_dir;
   let workers = min 4 (Sched.default_workers ()) in
   (* six distinct specs cycled over every submission: the first level
      populates the cache, later levels exercise warm admission serves *)
@@ -1528,7 +1513,7 @@ let serve_bench () =
         ("limit_pct", Jsonout.Float overhead_limit_pct);
       ]
   in
-  rm_rf cache_dir;
+  Fs.rm_rf cache_dir;
   Jsonout.write_file ~path:"BENCH_serve.json"
     (Jsonout.Obj
        [
@@ -1576,16 +1561,8 @@ let cluster_bench () =
       daemon;
     exit 1
   end;
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let root = Filename.concat (Filename.get_temp_dir_name ()) "educhip-bench-cluster" in
-  rm_rf root;
+  Fs.rm_rf root;
   Unix.mkdir root 0o755;
   let specs =
     [
@@ -1759,7 +1736,7 @@ let cluster_bench () =
          ("distinct_specs", Jsonout.Int (List.length specs));
          ("levels", Jsonout.List (List.map level_json levels));
        ]);
-  rm_rf root;
+  Fs.rm_rf root;
   Printf.printf "wrote BENCH_cluster.json (%d jobs per level, %d cores)\n" jobs_per_level
     (Sched.default_workers ())
 
@@ -1848,16 +1825,8 @@ let chaos_bench () =
 let incr_bench () =
   banner "INCR"
     "incremental artifacts: one-late-step edit, cold vs warm resume -> BENCH_incr.json";
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let dir = "BENCH_incr_artifacts" in
-  rm_rf dir;
+  Fs.rm_rf dir;
   let store = Astore.create ~dir () in
   let design = "mult4" in
   let netlist = Designs.netlist (Designs.find design) in
@@ -1959,7 +1928,7 @@ let incr_bench () =
          ("speedup_limit", Jsonout.Float limit);
          ("all_bit_identical", Jsonout.Bool all_identical) ]);
   Printf.printf "wrote BENCH_incr.json (%d edits)\n" reps;
-  rm_rf dir;
+  Fs.rm_rf dir;
   if not all_identical then begin
     Printf.eprintf "incr: warm resume diverged from cold rerun\n";
     exit 1

@@ -1,9 +1,61 @@
 module Flow = Educhip_flow.Flow
 module Netlist = Educhip_netlist.Netlist
+module Jsonout = Educhip_obs.Jsonout
 
 let version = Stepkey.version
 
-let metric_names = Store.metric_names
+(* {1 Step-entry codec}
+
+   The object a step artifact stores: the step's report and exec record
+   plus the snapshot's dispatch tag and raw payload. Decoding the
+   payload is deferred to [memo], which holds the upstream context a
+   decode needs. The file also names its own chained content key. *)
+
+type entry = {
+  step : string;
+  tag : string;
+  state : Jsonout.t;
+  report : Flow.step_report;
+  exec : Flow.step_exec;
+}
+
+let schema = 1
+
+let entry_to_json ~key e =
+  Jsonout.Obj
+    [
+      ("schema", Jsonout.Int schema);
+      ("key", Jsonout.String key);
+      ("step", Jsonout.String e.step);
+      ("tag", Jsonout.String e.tag);
+      ("state", e.state);
+      ("report", Codec.report_to_json e.report);
+      ("exec", Codec.exec_to_json e.exec);
+    ]
+
+let entry_of_json j =
+  (match Jsonout.member "schema" j with
+  | Some (Jsonout.Int v) when v = schema -> ()
+  | _ -> failwith "artifact entry: bad schema");
+  let field k =
+    match Jsonout.member k j with
+    | Some v -> v
+    | None -> failwith ("artifact entry: missing " ^ k)
+  in
+  let str k =
+    match field k with
+    | Jsonout.String s -> s
+    | _ -> failwith ("artifact entry: missing " ^ k)
+  in
+  (* checked, not kept: the file name already is the key *)
+  ignore (str "key" : string);
+  {
+    step = str "step";
+    tag = str "tag";
+    state = field "state";
+    report = Codec.report_of_json (field "report");
+    exec = Codec.exec_of_json (field "exec");
+  }
 
 (* The decode context accumulates as the warm prefix restores: each
    restored netlist (synthesis, sizing, buffering) becomes the netlist a
@@ -28,7 +80,7 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
     match List.assoc_opt step keys with
     | None -> None
     | Some key -> (
-      match Store.lookup store key with
+      match Store.get store key entry_of_json with
       | None -> None
       | Some e -> (
         let ctx =
@@ -39,15 +91,10 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
             placement = !last_place;
           }
         in
-        match Codec.state_of_json ctx ~tag:e.Store.tag e.Store.state with
+        match Codec.state_of_json ctx ~tag:e.tag e.state with
         | Some st ->
           track st;
-          Some
-            {
-              Flow.snap_state = st;
-              snap_report = e.Store.report;
-              snap_exec = e.Store.exec;
-            }
+          Some { Flow.snap_state = st; snap_report = e.report; snap_exec = e.exec }
         | None -> None
         | exception Failure _ ->
           (* checksum passed but the payload doesn't decode: schema
@@ -60,16 +107,10 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
     | None -> ()
     | Some key ->
       track s.Flow.snap_state;
-      let tag, payload = Codec.state_to_json s.Flow.snap_state in
-      Store.store store
-        {
-          Store.key;
-          step;
-          tag;
-          state = payload;
-          report = s.Flow.snap_report;
-          exec = s.Flow.snap_exec;
-        }
+      let tag, state = Codec.state_to_json s.Flow.snap_state in
+      Store.put store key
+        (entry_to_json ~key
+           { step; tag; state; report = s.Flow.snap_report; exec = s.Flow.snap_exec })
   in
   { Flow.memo_probe; memo_save }
 
@@ -80,7 +121,7 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
 let warm_prefix ~store ~netlist ~cfg ~inject ~fault_seed ~retries =
   let keys = Stepkey.chain ~netlist ~cfg ~inject ~fault_seed ~retries in
   let rec count n = function
-    | (_, key) :: rest when Store.probe store key -> count (n + 1) rest
+    | (_, key) :: rest when Store.probe store key entry_of_json -> count (n + 1) rest
     | _ -> n
   in
   count 0 keys

@@ -14,7 +14,8 @@
 
     The whole-job cache ([Educhip_sched.Cache]) remains the fast path
     for a fully unchanged job; this store makes the {e partially}
-    changed job cheap. *)
+    changed job cheap. Both sit on the same {!Store}: this module owns
+    the step-entry codec and the [artifact.*] counter namespace. *)
 
 val version : string
 (** {!Stepkey.version} — the schema/derivation version folded into every
@@ -30,8 +31,9 @@ val memo :
   Educhip_flow.Flow.memo
 (** Build the memoization hook for one run of [netlist] under [cfg] with
     the given fault configuration. Probes restore snapshots (quarantining
-    entries that pass their checksum but fail to decode); saves serialize
-    and store freshly computed steps. *)
+    entries that pass their checksum but fail to decode, as the store
+    quarantines those that fail it); saves serialize and store freshly
+    computed steps. *)
 
 val warm_prefix :
   store:Store.t ->
@@ -46,6 +48,3 @@ val warm_prefix :
     the replay follows. Read-only ({!Store.probe}); used by [--dry-run]
     predictions. [0] = fully cold, [List.length Flow.step_names] = the
     whole flow replays. *)
-
-val metric_names : string list
-(** {!Store.metric_names}, re-exported for pre-declaration. *)

@@ -1,9 +1,9 @@
-module Flow = Educhip_flow.Flow
 module Jsonout = Educhip_obs.Jsonout
 module Obs = Educhip_obs.Obs
 module Crc32 = Educhip_util.Crc32
+module Fs = Educhip_util.Fs
 
-type t = { dir : string; max_entries : int; mutex : Mutex.t }
+type t = { dir : string; max_entries : int; ns : string; mutex : Mutex.t }
 
 let default_dir = ".educhip-artifacts"
 
@@ -11,90 +11,53 @@ let default_dir = ".educhip-artifacts"
    distinct (design, config) chains — sized for a campaign, not a demo. *)
 let default_max_entries = 2048
 
-let create ?(max_entries = default_max_entries) ~dir () =
+let create ?(max_entries = default_max_entries) ?(ns = "artifact") ~dir () =
   if max_entries < 1 then
     invalid_arg
       (Printf.sprintf "Store.create: max_entries must be >= 1, got %d" max_entries);
-  { dir; max_entries; mutex = Mutex.create () }
+  { dir; max_entries; ns; mutex = Mutex.create () }
 
 let dir t = t.dir
 
-type entry = {
-  key : string;
-  step : string;
-  tag : string;
-  state : Jsonout.t;
-      (** raw snapshot payload; decoding is deferred to [Artifact], which
-          holds the upstream context a decode needs *)
-  report : Flow.step_report;
-  exec : Flow.step_exec;
-}
+let metric_names t =
+  List.map
+    (fun c -> t.ns ^ "." ^ c)
+    [ "hits"; "misses"; "stores"; "evicted"; "quarantined"; "bytes_written"; "bytes_read" ]
 
-let schema = 1
+let count t name n = Obs.add_counter (t.ns ^ "." ^ name) n
 let entry_path t key = Filename.concat t.dir (key ^ ".json")
 
-let entry_to_json e =
-  Jsonout.Obj
-    [
-      ("schema", Jsonout.Int schema);
-      ("key", Jsonout.String e.key);
-      ("step", Jsonout.String e.step);
-      ("tag", Jsonout.String e.tag);
-      ("state", e.state);
-      ("report", Codec.report_to_json e.report);
-      ("exec", Codec.exec_to_json e.exec);
-    ]
+(* On-disk form: the owner's object with a trailing [crc] member holding
+   the CRC-32 of the serialized object without that member. [Jsonout]
+   round-trips exactly, so stripping [crc] from the parse and
+   re-serializing reproduces the checksummed bytes iff the payload is
+   intact. An entry without a [crc] is corrupt. *)
+let to_disk = function
+  | Jsonout.Obj fields as obj when not (List.mem_assoc "crc" fields) ->
+    let payload = Jsonout.to_string obj in
+    let crc = Crc32.to_hex (Crc32.digest payload) in
+    (* splice the crc member in front of the closing brace *)
+    String.sub payload 0 (String.length payload - 1)
+    ^ Printf.sprintf "%s\"crc\":\"%s\"}\n" (if fields = [] then "" else ",") crc
+  | _ -> invalid_arg "Store.put: entry must be an object without a crc member"
 
-(* Same on-disk discipline as [Educhip_sched.Cache]: the entry object
-   with a trailing [crc] member holding the CRC-32 of the serialized
-   object without that member. [Jsonout] round-trips exactly, so
-   stripping [crc] from the parse and re-serializing reproduces the
-   checksummed bytes iff the payload is intact. Unlike the job cache
-   there is no legacy era here — an artifact without a [crc] is corrupt. *)
-let entry_to_disk_string e =
-  let payload = Jsonout.to_string (entry_to_json e) in
-  let crc = Crc32.to_hex (Crc32.digest payload) in
-  String.sub payload 0 (String.length payload - 1)
-  ^ Printf.sprintf ",\"crc\":\"%s\"}" crc
+let of_disk text =
+  match Jsonout.of_string text with
+  | Jsonout.Obj fields -> (
+    let payload = Jsonout.Obj (List.filter (fun (k, _) -> k <> "crc") fields) in
+    match List.assoc_opt "crc" fields with
+    | Some (Jsonout.String hex)
+      when Crc32.of_hex hex = Some (Crc32.digest (Jsonout.to_string payload)) ->
+      payload
+    | _ -> failwith "store entry: missing or mismatched crc")
+  | _ -> failwith "store entry: not an object"
 
-let checksum_ok j =
-  match Jsonout.member "crc" j with
-  | Some (Jsonout.String hex) -> (
-    match (Crc32.of_hex hex, j) with
-    | Some crc, Jsonout.Obj fields ->
-      let stripped = Jsonout.Obj (List.filter (fun (k, _) -> k <> "crc") fields) in
-      Crc32.digest (Jsonout.to_string stripped) = crc
-    | _ -> false)
-  | Some _ | None -> false
-
-let entry_of_json j =
-  (match Jsonout.member "schema" j with
-  | Some (Jsonout.Int v) when v = schema -> ()
-  | _ -> failwith "artifact entry: bad schema");
-  let str k =
-    match Jsonout.member k j with
-    | Some (Jsonout.String s) -> s
-    | _ -> failwith ("artifact entry: missing " ^ k)
-  in
-  let field k =
-    match Jsonout.member k j with
-    | Some v -> v
-    | None -> failwith ("artifact entry: missing " ^ k)
-  in
-  {
-    key = str "key";
-    step = str "step";
-    tag = str "tag";
-    state = field "state";
-    report = Codec.report_of_json (field "report");
-    exec = Codec.exec_of_json (field "exec");
-  }
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let read path =
+  try
+    Some
+      (In_channel.with_open_bin path (fun ic ->
+           really_input_string ic (in_channel_length ic)))
+  with Sys_error _ | End_of_file -> None
 
 let entry_files t =
   match Sys.readdir t.dir with
@@ -117,37 +80,38 @@ let evict_locked t =
     |> List.filteri (fun i _ -> i < excess)
     |> List.iter (fun (_, _, path) ->
            match Sys.remove path with
-           | () -> Obs.incr_counter "artifact.evicted"
+           | () -> count t "evicted" 1
            | exception Sys_error _ -> ())
 
-(* The store locks internally — unlike the job cache, whose callers hold
-   [Sched.cache_mutex], memo closures run deep inside worker domains
-   where no scheduler-level lock is in scope. *)
-let store t e =
+(* Temp names are unique per write, not just per process, so two
+   writers of one key never share a temp file whatever lock they hold. *)
+let tmp_seq = Atomic.make 0
+
+let put t key obj =
+  let text = to_disk obj in
   Mutex.protect t.mutex (fun () ->
-      mkdir_p t.dir;
-      let path = entry_path t e.key in
-      let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-      let text = entry_to_disk_string e ^ "\n" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc text);
+      Fs.mkdir_p t.dir;
+      let path = entry_path t key in
+      let tmp =
+        Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_seq 1)
+      in
+      Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc text);
       Sys.rename tmp path;
-      Obs.incr_counter "artifact.stores";
-      Obs.add_counter "artifact.bytes_written" (String.length text);
+      count t "stores" 1;
+      count t "bytes_written" (String.length text);
       evict_locked t)
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 
-(* Corrupt artifacts are evidence, not garbage: moved aside for
-   inspection, invisible to [entry_files], recomputed live. *)
+(* Corrupt entries are evidence (bit rot, a torn copy, a bad deploy),
+   not garbage: moved aside for inspection, invisible to [entry_files],
+   so they neither hit nor count against the cap. *)
 let quarantine_locked t path =
   let qdir = quarantine_dir t in
-  mkdir_p qdir;
+  Fs.mkdir_p qdir;
   (try Sys.rename path (Filename.concat qdir (Filename.basename path))
    with Sys_error _ -> ());
-  Obs.incr_counter "artifact.quarantined"
+  count t "quarantined" 1
 
 let quarantine_key t key =
   Mutex.protect t.mutex (fun () ->
@@ -163,69 +127,34 @@ let quarantined t =
           (fun n name -> if Filename.check_suffix name ".json" then n + 1 else n)
           0 names)
 
-let read_entry_locked t path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | text -> (
-    match
-      let j = Jsonout.of_string text in
-      if checksum_ok j then entry_of_json j
-      else failwith "artifact entry: checksum mismatch"
-    with
-    | e ->
-      Obs.add_counter "artifact.bytes_read" (String.length text);
-      Some e
-    | exception Failure _ ->
-      quarantine_locked t path;
-      None)
-
-let lookup t key =
+let get t key decode =
   Mutex.protect t.mutex (fun () ->
       let path = entry_path t key in
-      if not (Sys.file_exists path) then begin
-        Obs.incr_counter "artifact.misses";
-        None
-      end
-      else
-        match read_entry_locked t path with
-        | Some e ->
-          (* touch for LRU: eviction is oldest-mtime-first *)
-          (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-          Obs.incr_counter "artifact.hits";
-          Some e
-        | None ->
-          Obs.incr_counter "artifact.misses";
-          None)
+      let found =
+        match read path with
+        | None -> None
+        | Some text -> (
+          match decode (of_disk text) with
+          | v ->
+            (* touch for LRU: eviction is oldest-mtime-first *)
+            (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
+            count t "bytes_read" (String.length text);
+            Some v
+          | exception Failure _ ->
+            quarantine_locked t path;
+            None)
+      in
+      count t (if found = None then "misses" else "hits") 1;
+      found)
 
 (* Dry-run prediction: no counters, no LRU touch, no quarantine — a
    prediction must not mutate the store it is predicting against. *)
-let probe t key =
+let probe t key decode =
   Mutex.protect t.mutex (fun () ->
-      let path = entry_path t key in
-      if not (Sys.file_exists path) then false
-      else
-        match
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | exception Sys_error _ -> false
-        | text -> (
-          match
-            let j = Jsonout.of_string text in
-            if checksum_ok j then (
-              ignore (entry_of_json j);
-              true)
-            else false
-          with
-          | ok -> ok
-          | exception Failure _ -> false))
+      match read (entry_path t key) with
+      | None -> false
+      | Some text -> (
+        match decode (of_disk text) with _ -> true | exception Failure _ -> false))
 
 let entries t = Mutex.protect t.mutex (fun () -> List.length (entry_files t))
 
@@ -234,14 +163,3 @@ let clear t =
       List.iter
         (fun n -> try Sys.remove (Filename.concat t.dir n) with Sys_error _ -> ())
         (entry_files t))
-
-let metric_names =
-  [
-    "artifact.hits";
-    "artifact.misses";
-    "artifact.stores";
-    "artifact.evicted";
-    "artifact.quarantined";
-    "artifact.bytes_written";
-    "artifact.bytes_read";
-  ]

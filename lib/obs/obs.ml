@@ -52,6 +52,9 @@ type collector = {
   counters : (metric_key, int ref) Hashtbl.t;
   gauges : (metric_key, float ref) Hashtbl.t;
   histograms : (metric_key, hist) Hashtbl.t;
+  registry : Mutex.t;
+      (* guards the three tables: systhreads of one domain (a daemon's
+         connection threads) share its collector *)
 }
 
 let create () =
@@ -62,6 +65,7 @@ let create () =
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
+    registry = Mutex.create ();
   }
 
 (* The installed sink, one slot per domain: every probe below checks it
@@ -159,11 +163,14 @@ let span_attrs s =
 
 let key name labels = { metric_name = name; labels = List.sort compare labels }
 
+let locked c f = Mutex.protect c.registry f
+
 let add_counter ?(labels = []) name n =
   match get_current () with
   | None -> ()
   | Some c -> (
     let k = key name labels in
+    locked c @@ fun () ->
     match Hashtbl.find_opt c.counters k with
     | Some r -> r := !r + n
     | None -> Hashtbl.replace c.counters k (ref n))
@@ -176,6 +183,7 @@ let set_gauge ?(labels = []) name v =
   | None -> ()
   | Some c -> (
     let k = key name labels in
+    locked c @@ fun () ->
     match Hashtbl.find_opt c.gauges k with
     | Some r -> r := v
     | None -> Hashtbl.replace c.gauges k (ref v))
@@ -185,6 +193,7 @@ let declare_gauge ?(labels = []) name =
   | None -> ()
   | Some c ->
     let k = key name labels in
+    locked c @@ fun () ->
     if not (Hashtbl.mem c.gauges k) then Hashtbl.replace c.gauges k (ref 0.0)
 
 let observe ?(labels = []) name v =
@@ -192,6 +201,7 @@ let observe ?(labels = []) name v =
   | None -> ()
   | Some c -> (
     let k = key name labels in
+    locked c @@ fun () ->
     match Hashtbl.find_opt c.histograms k with
     | Some h -> hist_add h v
     | None ->
@@ -200,12 +210,14 @@ let observe ?(labels = []) name v =
       Hashtbl.replace c.histograms k h)
 
 let counter_value c ?(labels = []) name =
+  locked c @@ fun () ->
   match Hashtbl.find_opt c.counters (key name labels) with Some r -> !r | None -> 0
 
 let gauge_value c ?(labels = []) name =
-  Option.map ( ! ) (Hashtbl.find_opt c.gauges (key name labels))
+  locked c @@ fun () -> Option.map ( ! ) (Hashtbl.find_opt c.gauges (key name labels))
 
 let histogram_samples c ?(labels = []) name =
+  locked c @@ fun () ->
   match Hashtbl.find_opt c.histograms (key name labels) with
   | Some h -> hist_samples h
   | None -> []
@@ -215,6 +227,7 @@ let histogram_samples c ?(labels = []) name =
    its write lock and run the expensive part (sorting, rendering) on
    the copy after releasing the lock. *)
 let registry_copy c =
+  locked c @@ fun () ->
   let c' =
     {
       epoch = c.epoch;
@@ -223,6 +236,7 @@ let registry_copy c =
       counters = Hashtbl.create (Hashtbl.length c.counters);
       gauges = Hashtbl.create (Hashtbl.length c.gauges);
       histograms = Hashtbl.create (Hashtbl.length c.histograms);
+      registry = Mutex.create ();
     }
   in
   Hashtbl.iter (fun k r -> Hashtbl.replace c'.counters k (ref !r)) c.counters;
@@ -241,6 +255,8 @@ let registry_copy c =
    so the offset is exact and the merged trace keeps real timing. *)
 
 let merge ~into:dst src =
+  locked dst @@ fun () ->
+  locked src @@ fun () ->
   Hashtbl.iter
     (fun k r ->
       match Hashtbl.find_opt dst.counters k with
@@ -413,6 +429,7 @@ type snapshot = {
 }
 
 let snapshot c =
+  locked c @@ fun () ->
   {
     snap_counters = List.map (fun (k, r) -> (k, !r)) (sorted_entries c.counters);
     snap_gauges = List.map (fun (k, r) -> (k, !r)) (sorted_entries c.gauges);

@@ -101,7 +101,12 @@ val span_stop_us : span -> float
 (** {1 Metrics}
 
     Metrics are identified by name plus an optional label set (sorted
-    internally, so label order never distinguishes two series). *)
+    internally, so label order never distinguishes two series).
+
+    Registry writes, point reads, {!registry_copy}, {!merge} and
+    {!snapshot} lock the collector, so the threads of one domain may
+    share it; spans stay single-threaded, and the renderers read
+    without the lock (render a {!registry_copy} while others write). *)
 
 val add_counter : ?labels:(string * string) list -> string -> int -> unit
 (** Add to a monotonic counter, creating it at the given value. *)

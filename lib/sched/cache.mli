@@ -10,17 +10,18 @@
     (design display name, wall-clock, worker count) is excluded, so a
     hit is bit-identical to a fresh run's QoR.
 
-    Entries are one JSON file per key under the cache directory, evicted
-    LRU by file mtime ({!lookup} touches on hit) once the entry count
-    exceeds the cap. Each entry carries a CRC-32 of its own payload
-    ([crc] member; entries written before the checksum existed are
-    accepted without one). The store is tolerant: an unreadable,
-    unparsable, or checksum-failing entry behaves as a miss — and is
-    moved to the [quarantine/] subdirectory for inspection (counted by
-    the [sched.cache_quarantined] telemetry counter) rather than
-    silently deleted, since a corrupt entry is evidence of bit rot or a
-    torn copy, not just dead weight. Quarantined files neither hit nor
-    count against the eviction cap. *)
+    Entries live in an {!Educhip_artifact.Store} under the [cache]
+    counter namespace: one CRC-32-guarded JSON file per key, evicted LRU
+    by file mtime ({!lookup} touches on hit) once the entry count
+    exceeds the cap. This module owns only the key and the entry codec.
+    The store is tolerant: an unreadable, unparsable, crc-less or
+    checksum-failing entry behaves as a miss — and is moved to the
+    [quarantine/] subdirectory for inspection (counted by
+    [cache.quarantined]) rather than silently deleted, since a corrupt
+    entry is evidence of bit rot or a torn copy, not just dead weight.
+    Telemetry: [cache.hits], [cache.misses], [cache.stores],
+    [cache.evicted], [cache.quarantined], [cache.bytes_written],
+    [cache.bytes_read]. *)
 
 type t
 
@@ -47,7 +48,10 @@ val job_key :
 (** Hex digest of every input a guarded run's result depends on:
     {!flow_code_version}, [Netlist.structural_digest],
     [Flow.config_signature], the armed fault plan with its seed, and
-    the guard retry budget. *)
+    the guard retry budget. Deliberately not the last key of the
+    artifact [Stepkey] chain: an entry stores the ledger record, whose
+    [injected] list is the full plan, while a step key's fault slice
+    drops armings that no step probes. *)
 
 type entry = {
   key : string;
@@ -62,13 +66,12 @@ val store : t -> entry -> unit
     partial entry), then evict oldest-mtime entries beyond the cap. *)
 
 val lookup : t -> string -> entry option
-(** Hit refreshes the entry's mtime (LRU touch). A hit on a legacy
-    pre-checksum entry (no [crc] member) additionally bumps the
-    [sched.cache_legacy_entries] counter and rewrites the entry with a
-    checksum, so the unguarded population shrinks as it is used. *)
+(** Hit refreshes the entry's mtime (LRU touch); a corrupt entry is
+    quarantined and misses. *)
 
 val probe : t -> string -> bool
-(** Would {!lookup} hit? No mtime touch — used by dry-run predictions. *)
+(** Would {!lookup} hit? Read-only — no mtime touch, no counters, no
+    quarantine — used by dry-run predictions. *)
 
 val entries : t -> int
 (** Entry files currently in the cache directory (quarantined files
@@ -79,3 +82,6 @@ val quarantined : t -> int
 
 val clear : t -> unit
 (** Remove every entry (the directory itself is kept if present). *)
+
+val metric_names : t -> string list
+(** The [cache.*] counter names above, for pre-declaration. *)

@@ -117,8 +117,8 @@ val run_one :
     entry point a long-running service pool dispatches through. Shares
     the campaign engine's executor: same cache key, same guard policy
     wiring, same ledger record shape, so a result served by a daemon is
-    bit-identical to the same job in a batch campaign. Cache lookups and
-    stores are serialized process-wide. [artifacts] is the same
+    bit-identical to the same job in a batch campaign. Both stores lock
+    internally, so callers hold no lock around them. [artifacts] is the same
     incremental-store layer as {!run}'s — a daemon pointing at the
     directory a batch campaign populated resumes from its artifacts,
     and vice versa. Engine-level exceptions are
@@ -138,10 +138,9 @@ val run_one :
 val metric_names : string list
 (** Counter families the scheduler reports: [sched.jobs_completed],
     [sched.jobs_failed], [sched.cache_hits], [sched.cache_misses],
-    [sched.cache_legacy_entries] (pre-checksum cache entries counted —
-    and rewritten with a checksum — on first hit), [sched.requeues].
-    When {!run} is given an artifact store, the [artifact.*] families
-    are declared as well. It also sets the [sched.workers] gauge and the
+    [sched.requeues]. When {!run} is given a result cache or an artifact
+    store, that store's [cache.*] or [artifact.*] families
+    ({!Educhip_artifact.Store}) are declared as well. It also sets the [sched.workers] gauge and the
     [sched.queue_wait_ms] / [sched.queue_depth_samples] histograms.
     While jobs are being dispatched, workers additionally publish live
     load gauges to their own collectors — [sched.queue_depth] and the

@@ -1,5 +1,6 @@
 module Mclock = Educhip_util.Mclock
 module Rng = Educhip_util.Rng
+module Fs = Educhip_util.Fs
 module Jsonout = Educhip_obs.Jsonout
 module Flow = Educhip_flow.Flow
 
@@ -52,20 +53,6 @@ let stats_json s =
 (* {1 Filesystem scraps} *)
 
 let ( / ) = Filename.concat
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (path / n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
 
 let read_file path =
   match open_in_bin path with
@@ -210,7 +197,7 @@ let run cfg =
   let t_start = Mclock.now_ms () in
   let n = List.length cfg.jobs in
   if n = 0 then invalid_arg "Chaos.run: empty job list";
-  mkdir_p cfg.state_dir;
+  Fs.mkdir_p cfg.state_dir;
   let socket = cfg.state_dir / "chaos.sock" in
   let log = cfg.state_dir / "daemon.log" in
   let journal_path = cfg.state_dir / "journal.eduj" in
@@ -224,8 +211,8 @@ let run cfg =
 
   (* baseline: undisturbed run on fresh state — the reference answers *)
   let base_cache = cfg.state_dir / "cache-baseline" in
-  rm_rf base_cache;
-  rm_rf log;
+  Fs.rm_rf base_cache;
+  Fs.rm_rf log;
   let d = start_daemon cfg ~socket ~cache_dir:base_cache ~journal:None ~log in
   wait_ready d ~log;
   let baseline =
@@ -246,9 +233,9 @@ let run cfg =
 
   (* chaos: same campaign, fresh state, SIGKILLs at seeded points *)
   let chaos_cache = cfg.state_dir / "cache-chaos" in
-  rm_rf chaos_cache;
-  rm_rf journal_path;
-  rm_rf recovery_json;
+  Fs.rm_rf chaos_cache;
+  Fs.rm_rf journal_path;
+  Fs.rm_rf recovery_json;
   let journal = if cfg.use_journal then Some journal_path else None in
   let rng = Rng.create ~seed:cfg.seed in
   let kills = max 0 (min cfg.kills n) in

@@ -1,7 +1,7 @@
 module Manifest = Educhip_sched.Manifest
 module Fairshare = Educhip_sched.Fairshare
 module Cache = Educhip_sched.Cache
-module Artifact = Educhip_artifact.Artifact
+module Store = Educhip_artifact.Store
 module Sched = Educhip_sched.Sched
 module Designs = Educhip_designs.Designs
 module Pdk = Educhip_pdk.Pdk
@@ -218,7 +218,8 @@ let account_completion t ~tenant ~latency_ms ~ok =
 (* {1 Metrics}
 
    Only called from main-domain contexts (connection threads, the accept
-   loop) with [t.mutex] held: the Obs registry is not thread-safe, and
+   loop) with [t.mutex] held: [synced] and the raw counts it mirrors are
+   server state. The collector itself locks its registry, since
    connection threads share the creating domain's collector. *)
 
 let sync_counter t ?(labels = []) name current =
@@ -241,7 +242,10 @@ let sync_metrics t =
   List.iter
     (fun reason -> Obs.declare_counter ~labels:[ ("reason", reason) ] "serve.rejected")
     Wire.reject_reason_names;
-  if t.cfg.artifacts <> None then List.iter Obs.declare_counter Artifact.metric_names;
+  Option.iter (fun c -> List.iter Obs.declare_counter (Cache.metric_names c)) t.cfg.cache;
+  Option.iter
+    (fun a -> List.iter Obs.declare_counter (Store.metric_names a))
+    t.cfg.artifacts;
   sync_counter t "serve.admitted" t.admitted;
   sync_counter t "serve.cache_hits" t.cache_hits;
   sync_counter t "serve.jobs_completed" t.completed;
@@ -496,7 +500,9 @@ let job_key (job : Manifest.job) =
     ~fault_seed:job.Manifest.fault_seed ~retries:job.Manifest.retries
 
 (* Probe the result cache at admission: a warm submit is finished on the
-   spot — no queue slot, no worker, no inflight charge. *)
+   spot — no queue slot, no worker, no inflight charge. Runs outside
+   [t.mutex]: the cache locks itself, so admissions, polls and stats
+   never wait on its disk I/O. *)
 let cached_result t (job : Manifest.job) =
   match t.cfg.cache with
   | None -> None
@@ -516,7 +522,7 @@ let cached_result t (job : Manifest.job) =
           wait_ms = 0.0;
           trace_events = [];
         })
-      (Mutex.protect t.mutex (fun () -> Cache.lookup cache key))
+      (Cache.lookup cache key)
 
 let handle_submit t (spec : Wire.submit_spec) =
   match validate_spec spec with

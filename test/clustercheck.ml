@@ -22,14 +22,7 @@ module Flow = Educhip_flow.Flow
 module Spec = Educhip_cluster.Spec
 module Router = Educhip_cluster.Router
 module Mclock = Educhip_util.Mclock
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+module Fs = Educhip_util.Fs
 
 let dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-clustercheck"
 let path name = Filename.concat dir name
@@ -121,7 +114,11 @@ let () =
       exit 2
     end
   in
-  rm_rf dir;
+  (* as in eduroute: the in-process router's teardown can write to a
+     replica or client that already left, which must be an EPIPE the
+     router handles, not a signal that kills the harness *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Fs.rm_rf dir;
   Unix.mkdir dir 0o755;
   let failures = ref 0 in
   let check name ok =
@@ -306,7 +303,7 @@ let () =
   Router.stop router;
   Unix.close listen_fd;
   stop_daemon (if victim = "r1" then r2 else r1);
-  rm_rf dir;
+  Fs.rm_rf dir;
   if !failures > 0 then begin
     Printf.printf "clustercheck: %d check(s) FAILED\n" !failures;
     exit 1

@@ -17,6 +17,7 @@ module Obs = Educhip_obs.Obs
 module Artifact = Educhip_artifact.Artifact
 module Astore = Educhip_artifact.Store
 module Stepkey = Educhip_artifact.Stepkey
+module Fs = Educhip_util.Fs
 
 let failures = ref 0
 
@@ -30,18 +31,10 @@ let expect_int what expected got =
     got;
   if got <> expected then incr failures
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
 let () =
   let node = Educhip_pdk.Pdk.find_node "edu130" in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-incrcheck" in
-  rm_rf dir;
+  Fs.rm_rf dir;
   let store = Astore.create ~dir () in
   let netlist = Designs.netlist (Designs.find "counter") in
   let base = Flow.config ~node Flow.Open_flow in
@@ -121,7 +114,7 @@ let () =
   expect "recomputed run bit-identical"
     (cold.Flow.ppa = recovered.Flow.ppa && cold.Flow.execs = recovered.Flow.execs);
 
-  rm_rf dir;
+  Fs.rm_rf dir;
   if !failures > 0 then begin
     Printf.printf "incrcheck: %d check(s) failed\n" !failures;
     exit 1

@@ -8,6 +8,7 @@ module Manifest = Educhip_sched.Manifest
 module Cache = Educhip_sched.Cache
 module Sched = Educhip_sched.Sched
 module Flow = Educhip_flow.Flow
+module Fs = Educhip_util.Fs
 
 let manifest_text =
   {|
@@ -20,14 +21,6 @@ mult4   tenant=uni-b preset=open
 cmp16   tenant=uni-b preset=commercial
 lfsr16  tenant=uni-b inject=flow.routing:crash@1 retries=2
 |}
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
 
 let signature results =
   List.map
@@ -54,8 +47,8 @@ let () =
 
   let dir_serial = "schedcheck-cache-serial" in
   let dir_par = "schedcheck-cache-parallel" in
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Fs.rm_rf dir_serial;
+  Fs.rm_rf dir_par;
 
   let serial, s_serial =
     Sched.run ~workers:1 ~cache:(Cache.create ~dir:dir_serial ()) manifest
@@ -77,8 +70,8 @@ let () =
     (List.for_all (fun (r : Sched.job_result) -> r.from_cache) warm);
 
   List.iter print_endline (signature serial);
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Fs.rm_rf dir_serial;
+  Fs.rm_rf dir_par;
   if !failures > 0 then begin
     Printf.printf "schedcheck: %d check(s) failed\n" !failures;
     exit 1

@@ -28,14 +28,7 @@ module Ratelimit = Educhip_serve.Ratelimit
 module Server = Educhip_serve.Server
 module Client = Educhip_serve.Client
 module Fault = Educhip_fault.Fault
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+module Fs = Educhip_util.Fs
 
 let socket = Filename.concat (Filename.get_temp_dir_name ()) "educhip-servecheck.sock"
 
@@ -103,8 +96,8 @@ let () =
   in
 
   (* A: serial vs concurrent, plus a warm duplicate *)
-  rm_rf (cache_dir "serial");
-  rm_rf (cache_dir "conc");
+  Fs.rm_rf (cache_dir "serial");
+  Fs.rm_rf (cache_dir "conc");
   let serial =
     with_server (cfg ~cache:(Cache.create ~dir:(cache_dir "serial") ()) ()) (fun () ->
         let c = Client.connect_unix socket in
@@ -140,8 +133,8 @@ let () =
         Client.close c;
         (Array.to_list results, warm))
   in
-  rm_rf (cache_dir "serial");
-  rm_rf (cache_dir "conc");
+  Fs.rm_rf (cache_dir "serial");
+  Fs.rm_rf (cache_dir "conc");
   List.iteri
     (fun i (s, c) ->
       let name = Printf.sprintf "serial = concurrent (job %d)" i in
@@ -178,7 +171,7 @@ let () =
 
   (* C: drain under load loses no accepted job *)
   let ledger = "servecheck-ledger.jsonl" in
-  rm_rf ledger;
+  Fs.rm_rf ledger;
   let roomy =
     { Ratelimit.rate_per_s = 100.0; burst = 16.0; max_inflight = 16; fair_weight = 1.0 }
   in
@@ -200,7 +193,7 @@ let () =
         accepted)
   in
   let records = Runlog.load ~path:ledger in
-  rm_rf ledger;
+  Fs.rm_rf ledger;
   check
     (Printf.sprintf "drain kept all %d accepted jobs" (List.length accepted))
     (List.length accepted = 6

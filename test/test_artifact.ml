@@ -11,6 +11,8 @@ module Artifact = Educhip_artifact.Artifact
 module Astore = Educhip_artifact.Store
 module Obs = Educhip_obs.Obs
 module Runlog = Educhip_obs.Runlog
+module Jsonout = Educhip_obs.Jsonout
+module Fs = Educhip_util.Fs
 
 let check = Alcotest.check
 
@@ -20,17 +22,9 @@ let temp_dir prefix =
   Unix.mkdir path 0o755;
   path
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
 let with_store_dir f =
   let dir = temp_dir "educhip_artifact_test" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Fs.rm_rf dir) (fun () -> f dir)
 
 let node130 = Pdk.find_node "edu130"
 let counter = Designs.netlist (Designs.find "counter")
@@ -246,8 +240,57 @@ let test_corrupt_artifact_quarantined () =
   check Alcotest.bool "corruption-tolerant rerun bit-identical" true
     (cold.Flow.ppa = warm.Flow.ppa && cold.Flow.execs = warm.Flow.execs)
 
+(* {2 Store invariants}
+
+   Any owner object round-trips exactly; after any single-byte flip of
+   its file, a read returns either the original object (the flip landed
+   somewhere harmless, like the trailing newline turned into a space) or
+   a miss that quarantines exactly that file — never a different object.
+   An object that already carries a [crc] member is refused. *)
+
+let store_case =
+  let open QCheck.Gen in
+  let crc_member =
+    frequency [ (9, return []); (1, map (fun c -> [ ("crc", c) ]) Test_obs.json_gen) ]
+  in
+  let obj =
+    map2 (fun v crc -> Jsonout.Obj (("payload", v) :: crc)) Test_obs.json_gen crc_member
+  in
+  QCheck.make
+    ~print:(fun (o, i, x) -> Printf.sprintf "flip byte %d ^ %d of %s" i x (Jsonout.to_string o))
+    (triple obj nat (int_range 1 255))
+
+let prop_store_put_get_flip =
+  QCheck.Test.make ~name:"store: exact round trip, a flipped byte never reads as another object"
+    ~count:300 store_case (fun (obj, pos, mask) ->
+      with_store_dir @@ fun dir ->
+      let store = Astore.create ~dir () in
+      match Astore.put store "k" obj with
+      | exception Invalid_argument _ ->
+        Jsonout.member "crc" obj <> None && Astore.entries store = 0
+      | () ->
+        let path = Filename.concat dir "k.json" in
+        let exact = Astore.get store "k" Fun.id = Some obj in
+        let text = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+        let i = pos mod Bytes.length text in
+        Bytes.set text i (Char.chr (Char.code (Bytes.get text i) lxor mask));
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc text);
+        let after_flip =
+          match Astore.get store "k" Fun.id with
+          | Some o -> o = obj && Astore.quarantined store = 0
+          | None ->
+            Astore.quarantined store = 1
+            && (not (Sys.file_exists path))
+            && Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") "k.json")
+        in
+        (* the entry and the quarantine are all there is: no temp file left *)
+        let no_temp =
+          Array.for_all (fun n -> n = "k.json" || n = "quarantine") (Sys.readdir dir)
+        in
+        Jsonout.member "crc" obj = None && exact && after_flip && no_temp)
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain ]
+  List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain; prop_store_put_get_flip ]
   @ [
       ("chain shape", `Quick, test_chain_shape);
       ("chain RTL sensitivity", `Quick, test_chain_rtl_sensitivity);

@@ -9,6 +9,7 @@ module Obs = Educhip_obs.Obs
 module Jsonout = Educhip_obs.Jsonout
 module Pdk = Educhip_pdk.Pdk
 module Designs = Educhip_designs.Designs
+module Fs = Educhip_util.Fs
 
 let check = Alcotest.check
 
@@ -18,17 +19,9 @@ let temp_dir prefix =
   Unix.mkdir path 0o755;
   path
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
 let with_cache_dir f =
   let dir = temp_dir "educhip_sched_test" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Fs.rm_rf dir) (fun () -> f dir)
 
 (* {2 Manifest parsing} *)
 
@@ -203,21 +196,50 @@ let test_cache_lru_eviction () =
       check Alcotest.bool "newest kept" true
         (Cache.probe cache (List.nth keys 3)))
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* the stored entry with its [crc] member removed: well-formed, but
+   unguarded — the store treats it as corrupt *)
+let strip_crc text =
+  match Jsonout.of_string text with
+  | Jsonout.Obj fields -> Jsonout.to_string (Jsonout.Obj (List.remove_assoc "crc" fields))
+  | _ -> Alcotest.fail "entry is not an object"
+
 let test_cache_corrupt_entry_is_miss () =
+  with_cache_dir (fun dir ->
+      let cache = Cache.create ~dir () in
+      let c = Obs.create () in
+      List.iteri
+        (fun i (label, corrupt) ->
+          let k = key ~fault_seed:(10 + i) () in
+          Cache.store cache (sample_entry k);
+          let path = Filename.concat dir (k ^ ".json") in
+          write_file path (corrupt (read_file path));
+          check Alcotest.bool (label ^ " misses") true
+            (Obs.with_collector c (fun () -> Cache.lookup cache k) = None);
+          (* the evidence is preserved for post-mortem, not destroyed *)
+          check Alcotest.bool (label ^ " moved out of the cache") false (Sys.file_exists path);
+          check Alcotest.int (label ^ " quarantined") (i + 1) (Cache.quarantined cache);
+          check Alcotest.bool (label ^ " kept in quarantine/") true
+            (Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") (k ^ ".json"))))
+        [ ("unparsable entry", fun _ -> "{ not json"); ("crc-less entry", strip_crc) ];
+      check Alcotest.int "cache.quarantined counted" 2
+        (Obs.counter_value c "cache.quarantined");
+      check Alcotest.int "cache.misses counted" 2 (Obs.counter_value c "cache.misses"))
+
+(* a dry-run prediction must not change the cache it predicts against:
+   probing a corrupt entry says "miss" but leaves the file in place *)
+let test_cache_probe_is_read_only () =
   with_cache_dir (fun dir ->
       let cache = Cache.create ~dir () in
       let k = key () in
       Cache.store cache (sample_entry k);
       let path = Filename.concat dir (k ^ ".json") in
-      let oc = open_out path in
-      output_string oc "{ not json";
-      close_out oc;
-      check Alcotest.bool "corrupt entry misses" true (Cache.lookup cache k = None);
-      (* the evidence is preserved for post-mortem, not destroyed *)
-      check Alcotest.bool "moved out of the cache" false (Sys.file_exists path);
-      check Alcotest.int "quarantined" 1 (Cache.quarantined cache);
-      check Alcotest.bool "file kept in quarantine/" true
-        (Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") (k ^ ".json"))))
+      write_file path "{ not json";
+      check Alcotest.bool "corrupt entry predicted a miss" false (Cache.probe cache k);
+      check Alcotest.bool "file still in place" true (Sys.file_exists path);
+      check Alcotest.int "nothing quarantined" 0 (Cache.quarantined cache))
 
 (* a stored entry whose bytes were silently flipped (bit rot, partial
    write) fails its embedded checksum and is quarantined the same way *)
@@ -247,41 +269,6 @@ let test_cache_checksum_guard () =
       close_out oc;
       check Alcotest.bool "tampered entry misses" true (Cache.lookup cache k = None);
       check Alcotest.int "tampered entry quarantined" 1 (Cache.quarantined cache))
-
-(* an entry written before the checksum existed (no [crc] member) still
-   hits, is counted by sched.cache_legacy_entries, and is rewritten
-   with a checksum on that first hit *)
-let test_cache_legacy_entry_upgraded () =
-  with_cache_dir (fun dir ->
-      let cache = Cache.create ~dir () in
-      let k = key () in
-      Cache.store cache (sample_entry k);
-      let path = Filename.concat dir (k ^ ".json") in
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let stripped =
-        match Jsonout.of_string text with
-        | Jsonout.Obj fields ->
-          Jsonout.Obj (List.filter (fun (name, _) -> name <> "crc") fields)
-        | _ -> Alcotest.fail "entry is not an object"
-      in
-      let oc = open_out_bin path in
-      output_string oc (Jsonout.to_string stripped);
-      close_out oc;
-      let c = Obs.create () in
-      Obs.with_collector c (fun () ->
-          check Alcotest.bool "legacy entry hits" true (Cache.lookup cache k <> None);
-          check Alcotest.bool "second hit sees the upgraded entry" true
-            (Cache.lookup cache k <> None));
-      check Alcotest.int "counted once, not on the rewritten hit" 1
-        (Obs.counter_value c "sched.cache_legacy_entries");
-      let ic = open_in_bin path in
-      let rewritten = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      check Alcotest.bool "rewritten with a checksum" true
-        (Jsonout.member "crc" (Jsonout.of_string rewritten) <> None);
-      check Alcotest.int "nothing quarantined" 0 (Cache.quarantined cache))
 
 (* {2 Scheduler} *)
 
@@ -429,8 +416,8 @@ let suite =
       test_cache_corrupt_entry_is_miss;
     Alcotest.test_case "cache: checksum guards against bit rot" `Quick
       test_cache_checksum_guard;
-    Alcotest.test_case "cache: pre-checksum entries counted and upgraded" `Quick
-      test_cache_legacy_entry_upgraded;
+    Alcotest.test_case "cache: probe never quarantines" `Quick
+      test_cache_probe_is_read_only;
     Alcotest.test_case "sched: results invariant under worker count" `Quick
       test_sched_worker_count_invariance;
     Alcotest.test_case "sched: manifest-ordered results and totals" `Quick

@@ -6,6 +6,8 @@ module Jsonout = Educhip_obs.Jsonout
 module Runlog = Educhip_obs.Runlog
 module Tracectx = Educhip_obs.Tracectx
 module Slo = Educhip_obs.Slo
+module Cache = Educhip_sched.Cache
+module Fs = Educhip_util.Fs
 
 let req_roundtrip r =
   match Wire.decode_request (Wire.encode_request r) with
@@ -286,11 +288,16 @@ let reject_reason = function
   | _ -> None
 
 let test_server_admission_pipeline () =
+  (* a result cache that stays empty: every submit misses at admission *)
+  let cache_dir = Filename.temp_file "educhip_srv_cache" "" in
+  Sys.remove cache_dir;
+  Fun.protect ~finally:(fun () -> Fs.rm_rf cache_dir) @@ fun () ->
   let cfg =
     {
       Server.default_config with
       Server.max_queue = 2;
       basic = { Ratelimit.basic_defaults with Ratelimit.max_inflight = 2 };
+      cache = Some (Cache.create ~dir:cache_dir ());
     }
   in
   with_server cfg (fun t ->
@@ -344,13 +351,18 @@ let test_server_admission_pipeline () =
       | _ -> Alcotest.fail "submit while draining must be rejected draining");
       match Server.handle t Wire.Metrics with
       | Wire.Metrics_text text ->
-        Alcotest.(check bool) "admitted counter exported" true
-          (let re = "serve_admitted 2" in
-           let rec contains i =
-             i + String.length re <= String.length text
-             && (String.sub text i (String.length re) = re || contains (i + 1))
-           in
-           contains 0)
+        let exported re =
+          let rec contains i =
+            i + String.length re <= String.length text
+            && (String.sub text i (String.length re) = re || contains (i + 1))
+          in
+          contains 0
+        in
+        Alcotest.(check bool) "admitted counter exported" true (exported "serve_admitted 2");
+        (* the cache's counter families are declared up front, so a
+           scraper sees the quarantine series flat at 0 *)
+        Alcotest.(check bool) "cache quarantine series exported" true
+          (exported "\ncache_quarantined 0\n")
       | r -> Alcotest.failf "metrics: %s" (Wire.encode_response r))
 
 let test_server_rate_limit () =
