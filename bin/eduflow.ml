@@ -136,12 +136,10 @@ let run_flow design_name node_name preset_name_ clock_ps gds_path verilog_path v
       exit 1
     | node ->
       let preset =
-        match preset_name_ with
-        | "open" -> Flow.Open_flow
-        | "commercial" -> Flow.Commercial_flow
-        | "teaching" -> Flow.Teaching_flow
-        | other ->
-          Printf.eprintf "unknown preset %s (open|commercial|teaching)\n" other;
+        match Manifest.preset_of_string preset_name_ with
+        | Ok p -> p
+        | Error msg ->
+          Printf.eprintf "%s\n" msg;
           exit 1
       in
       let cfg = Flow.config ~node ?clock_period_ps:clock_ps preset in
@@ -576,22 +574,6 @@ let compare_cmd =
 
 (* {1 Campaign batch runs} *)
 
-let batch_job_key (j : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find j.Manifest.design) in
-  let node = Pdk.find_node j.Manifest.node in
-  let cfg = Flow.config ~node ?clock_period_ps:j.Manifest.clock_ps j.Manifest.preset in
-  Cache.job_key ~netlist ~cfg ~inject:j.Manifest.inject
-    ~fault_seed:j.Manifest.fault_seed ~retries:j.Manifest.retries
-
-(* Per-job artifact resume prediction for --dry-run: the step the flow
-   would resume at, by the same consecutive-hit rule the replay uses. *)
-let batch_artifact_depth store (j : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find j.Manifest.design) in
-  let node = Pdk.find_node j.Manifest.node in
-  let cfg = Flow.config ~node ?clock_period_ps:j.Manifest.clock_ps j.Manifest.preset in
-  Artifact.warm_prefix ~store ~netlist ~cfg ~inject:j.Manifest.inject
-    ~fault_seed:j.Manifest.fault_seed ~retries:j.Manifest.retries
-
 let run_batch manifest_path jobs_opt no_cache cache_dir cache_max artifact_dir
     artifact_max dry_run max_requeues
     trace_path metrics_path prom_path ledger_path summary_path =
@@ -635,12 +617,18 @@ let run_batch manifest_path jobs_opt no_cache cache_dir cache_max artifact_dir
     let n_steps = List.length Flow.step_names in
     let predict (j : Manifest.job) =
       match cache with
-      | Some c when Cache.probe c (batch_job_key j) -> "hit "
+      | Some c when Cache.probe c (Sched.job_key j) -> "hit "
       | _ -> (
         match artifacts with
         | None -> if cache = None then "run " else "miss"
         | Some store -> (
-          match batch_artifact_depth store j with
+          (* the step the flow would resume at, by the same
+             consecutive-hit rule the replay uses *)
+          let netlist, cfg = Sched.resolve j in
+          match
+            Artifact.warm_prefix ~store ~netlist ~cfg ~inject:j.Manifest.inject
+              ~fault_seed:j.Manifest.fault_seed ~retries:j.Manifest.retries
+          with
           | 0 -> "miss"
           | d when d >= n_steps -> "replay"
           | d -> Printf.sprintf "resume@%s" (List.nth Flow.step_names d)))

@@ -1,6 +1,7 @@
 module Wire = Educhip_serve.Wire
 module Client = Educhip_serve.Client
 module Server = Educhip_serve.Server
+module Sched = Educhip_sched.Sched
 module Scrape = Educhip_mon.Scrape
 module Mclock = Educhip_util.Mclock
 
@@ -225,7 +226,7 @@ let handle_submit t (spec : Wire.submit_spec) =
     match Server.validate_spec spec with
     | Error msg -> reject t (Wire.Bad_request msg)
     | Ok job ->
-      let key = Server.job_key job in
+      let key = Sched.job_key job in
       let candidates =
         Mutex.protect t.mutex (fun () ->
             List.filter_map (find_replica t) (Ring.successors t.ring key))

@@ -3,7 +3,7 @@
 
     Clients speak the {e unchanged} {!Educhip_serve.Wire} protocol to
     the router; the router shards every submission by its
-    content-addressed job key ({!Educhip_serve.Server.job_key} — the
+    content-addressed job key ({!Educhip_sched.Sched.job_key} — the
     result-cache key) onto a seeded consistent-hash {!Ring} of
     replicas. Equal jobs therefore always land on the same replica and
     hit its warm cache; a replica joining or leaving moves only its own

@@ -1,3 +1,5 @@
+module Linedsl = Educhip_util.Linedsl
+
 type t = {
   replicas : (string * string) list;
   vnodes : int;
@@ -15,54 +17,39 @@ let default =
     staleness_ms = 5000.0;
   }
 
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
 let parse text =
-  let err ln msg = Error (Printf.sprintf "line %d: %s" ln msg) in
-  let pos_int ln what s k =
+  let fail = Linedsl.fail in
+  let pos_int ln what s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> k n
-    | _ -> err ln (Printf.sprintf "%s wants a positive integer, got %S" what s)
+    | Some n when n > 0 -> n
+    | _ -> fail ln "%s wants a positive integer, got %S" what s
   in
-  let pos_float ln what s k =
+  let pos_float ln what s =
     match float_of_string_opt s with
-    | Some x when x > 0.0 && Float.is_finite x -> k x
-    | _ -> err ln (Printf.sprintf "%s wants a positive number, got %S" what s)
+    | Some x when x > 0.0 && Float.is_finite x -> x
+    | _ -> fail ln "%s wants a positive number, got %S" what s
   in
-  let rec go ln acc = function
-    | [] ->
-      if acc.replicas = [] then Error "spec declares no replica"
-      else Ok { acc with replicas = List.rev acc.replicas }
-    | line :: rest -> (
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      match tokens line with
-      | [] -> go (ln + 1) acc rest
-      | [ "replica"; name; addr ] ->
-        if List.mem_assoc name acc.replicas then
-          err ln (Printf.sprintf "duplicate replica name %S" name)
-        else go (ln + 1) { acc with replicas = (name, addr) :: acc.replicas } rest
-      | "replica" :: _ -> err ln "replica wants exactly NAME ADDR"
-      | [ "vnodes"; n ] -> pos_int ln "vnodes" n (fun vnodes -> go (ln + 1) { acc with vnodes } rest)
-      | [ "hash-seed"; n ] -> (
-        match int_of_string_opt n with
-        | Some seed -> go (ln + 1) { acc with seed } rest
-        | None -> err ln (Printf.sprintf "hash-seed wants an integer, got %S" n))
-      | [ "probe-interval-ms"; x ] ->
-        pos_float ln "probe-interval-ms" x (fun probe_interval_ms ->
-            go (ln + 1) { acc with probe_interval_ms } rest)
-      | [ "staleness-ms"; x ] ->
-        pos_float ln "staleness-ms" x (fun staleness_ms ->
-            go (ln + 1) { acc with staleness_ms } rest)
-      | directive :: _ -> err ln (Printf.sprintf "unknown directive %S" directive))
+  let directive acc (ln, toks) =
+    match toks with
+    | [ "replica"; name; addr ] ->
+      if List.mem_assoc name acc.replicas then fail ln "duplicate replica name %S" name
+      else { acc with replicas = (name, addr) :: acc.replicas }
+    | "replica" :: _ -> fail ln "replica wants exactly NAME ADDR"
+    | [ "vnodes"; n ] -> { acc with vnodes = pos_int ln "vnodes" n }
+    | [ "hash-seed"; n ] -> (
+      match int_of_string_opt n with
+      | Some seed -> { acc with seed }
+      | None -> fail ln "hash-seed wants an integer, got %S" n)
+    | [ "probe-interval-ms"; x ] ->
+      { acc with probe_interval_ms = pos_float ln "probe-interval-ms" x }
+    | [ "staleness-ms"; x ] -> { acc with staleness_ms = pos_float ln "staleness-ms" x }
+    | directive :: _ -> fail ln "unknown directive %S" directive
+    | [] -> acc
   in
-  go 1 default (String.split_on_char '\n' text)
+  match List.fold_left directive default (Linedsl.lines text) with
+  | exception Linedsl.Error (ln, msg) -> Error (Printf.sprintf "line %d: %s" ln msg)
+  | { replicas = []; _ } -> Error "spec declares no replica"
+  | s -> Ok { s with replicas = List.rev s.replicas }
 
 let load ~path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -8,9 +8,10 @@
 
     {2 File format}
 
-    Line-based text, like {!Educhip_sched.Manifest} and
-    {!Educhip_mon.Rules}: [#] starts a comment, blank lines are
-    skipped.
+    Line-based text over {!Educhip_util.Linedsl}, like
+    {!Educhip_sched.Manifest} and {!Educhip_mon.Rules}: [#] starts a
+    comment, blank lines are skipped, tokens are separated by spaces or
+    tabs.
 
     - [replica NAME ADDR] — one [eduserved] endpoint; [NAME] labels its
       series in merged metrics, [ADDR] is a socket path or [HOST:PORT]
@@ -46,13 +47,14 @@ val default : t
     parser and the [--replica] CLI flags start from. *)
 
 val parse : string -> (t, string) result
-(** Parse a spec from text. [Error] carries a line-numbered message
-    (unknown directive, duplicate replica name, bad number). A spec
-    with no [replica] line is an error — a router with nothing behind
-    it cannot serve. *)
+(** Parse a spec from text. [Error] carries a ["line N: "]-prefixed
+    message for the first bad line (unknown directive, duplicate
+    replica name, bad number). A spec with no [replica] line is an
+    error — a router with nothing behind it cannot serve. *)
 
 val load : path:string -> (t, string) result
-(** {!parse} the file's contents; [Error] if it cannot be read. *)
+(** {!parse} the file's contents; [Error] with the [Sys_error] message
+    if it cannot be read. *)
 
 val ring : t -> Ring.t
 (** The ring the spec describes. *)

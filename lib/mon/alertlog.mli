@@ -4,9 +4,10 @@
     line of JSON — the durable record an operator (or the [@moncheck]
     gate) replays to reconstruct what fired when. Same discipline as
     [Educhip_obs.Runlog]: a [schema] stamp on every line, unknown
-    members preserved through decode → re-encode ([extra]), bad lines
-    skipped on load, single-write + flush appends under a process-local
-    mutex so concurrent writers never tear a line. *)
+    members preserved through decode → re-encode ([extra]), and the
+    same {!Educhip_obs.Jsonl} file discipline: bad lines skipped on
+    load, single-write + flush appends so concurrent writers never tear
+    a line. *)
 
 val schema_version : int
 (** Currently [1]. *)
@@ -55,6 +56,9 @@ val of_json : Educhip_obs.Jsonout.t -> entry option
     usable [rule], or carries an unrecognized [state]. *)
 
 val append : path:string -> entry -> unit
+(** {!Educhip_obs.Jsonl.append} of {!to_json}. *)
+
 val load : path:string -> entry list
-(** Entries in file order; unparseable lines are skipped. Missing file
-    is an empty log. *)
+(** {!Educhip_obs.Jsonl.load} with {!of_json}: entries in file order;
+    unparseable lines are skipped. Missing file is an empty log.
+    @raise Sys_error if the file exists but cannot be read. *)

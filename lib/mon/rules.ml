@@ -1,3 +1,5 @@
+module Linedsl = Educhip_util.Linedsl
+
 type fn = Value | Rate | Delta | Avg | Max | Min | Quantile of float
 type op = Gt | Lt | Ge | Le
 
@@ -26,22 +28,7 @@ type rule = {
   slo_burn : bool;
 }
 
-(* {1 Parsing} — the [Sched.Manifest] line-based style *)
-
-let tokens line =
-  String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line)
-  |> List.filter (fun s -> s <> "")
-
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let key_value tok =
-  match String.index_opt tok '=' with
-  | Some i when i > 0 ->
-    Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-  | _ -> None
+(* {1 Parsing} — directives over the shared [Linedsl] lexer *)
 
 let fn_of_string = function
   | "value" -> Some Value
@@ -95,7 +82,7 @@ let parse_metric v =
         if body = "" then Some []
         else
           String.split_on_char ',' body
-          |> List.map key_value
+          |> List.map Linedsl.key_value
           |> List.fold_left
                (fun acc kv ->
                  match (acc, kv) with
@@ -107,9 +94,7 @@ let parse_metric v =
     end
 
 let parse_string ?(source = "<rules>") text =
-  let fail line fmt =
-    Printf.ksprintf (fun msg -> invalid_arg (Printf.sprintf "%s:%d: %s" source line msg)) fmt
-  in
+  let fail = Linedsl.fail and key_value = Linedsl.key_value in
   let rules = ref [] in
   let check_fresh lineno name =
     if List.exists (fun r -> r.rule_name = name) !rules then
@@ -246,24 +231,23 @@ let parse_string ?(source = "<rules>") text =
       }
       :: !rules
   in
-  String.split_on_char '\n' text
-  |> List.iteri (fun i line ->
-         let lineno = i + 1 in
-         match tokens (strip_comment line) with
+  (try
+     List.iter
+       (fun (lineno, toks) ->
+         match toks with
          | [] -> ()
          | "alert" :: name :: rest -> parse_alert lineno name rest
          | [ "alert" ] -> fail lineno "alert directive needs a name"
          | "slo-burn" :: name :: rest -> parse_slo_burn lineno name rest
          | [ "slo-burn" ] -> fail lineno "slo-burn directive needs a name"
-         | directive :: _ -> fail lineno "unknown directive %S" directive);
+         | directive :: _ -> fail lineno "unknown directive %S" directive)
+       (Linedsl.lines text)
+   with Linedsl.Error (lineno, msg) ->
+     invalid_arg (Printf.sprintf "%s:%d: %s" source lineno msg));
   List.rev !rules
 
 let load ~path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string ~source:path text
+  parse_string ~source:path (In_channel.with_open_bin path In_channel.input_all)
 
 (* {1 The state machine} *)
 

@@ -1,8 +1,10 @@
 (** Declarative alert rules over {!Tsdb} series.
 
-    Rules come from a line-based config in the [Sched.Manifest] style —
-    one directive per line, [#] comments, [key=value] tokens, parse
-    errors raised as [Invalid_argument "source:line: reason"]:
+    Rules come from a line-based config lexed by
+    {!Educhip_util.Linedsl}, like [Sched.Manifest] — one directive per
+    line, [#] comments, tokens separated by spaces or tabs, [key=value]
+    tokens, parse errors raised as [Invalid_argument "source:line:
+    reason"]:
 
     {v
     # threshold rule: window function over a series selector
@@ -64,7 +66,8 @@ val parse_string : ?source:string -> string -> rule list
     rule name, missing required key). *)
 
 val load : path:string -> rule list
-(** {!parse_string} on the file's contents, [~source:path]. *)
+(** {!parse_string} on the file's contents, [~source:path].
+    @raise Sys_error if the file cannot be read. *)
 
 type t
 

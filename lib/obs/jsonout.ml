@@ -285,3 +285,15 @@ let of_string s =
 let member key = function
   | Obj members -> List.assoc_opt key members
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
+
+let as_float = function
+  | Some (Float f) -> Some f
+  | Some (Int i) -> Some (float_of_int i)
+  | _ -> None
+
+let as_int = function
+  | Some (Int i) -> Some i
+  | Some (Float f) -> Some (int_of_float f)
+  | _ -> None
+
+let as_string = function Some (String s) -> Some s | _ -> None

@@ -36,6 +36,16 @@ val member : string -> t -> t option
 (** First member of an {!Obj} with the given key; [None] on other
     constructors or a missing key. *)
 
+(** {2 Tolerant accessors}
+
+    Over {!member}'s result, for forward-tolerant record decoders: a
+    missing member or one of another type reads as [None]. Numbers
+    coerce both ways ([Int] to [float]; [Float] truncated to [int]). *)
+
+val as_float : t option -> float option
+val as_int : t option -> int option
+val as_string : t option -> string option
+
 val escape_string : string -> string
 (** The quoted, escaped form of a string (including the surrounding
     double quotes) — exposed for tests. *)

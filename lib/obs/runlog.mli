@@ -86,15 +86,15 @@ val of_json : Jsonout.t -> record
     @raise Failure if the value is not a JSON object. *)
 
 val append : path:string -> record -> unit
-(** Append one compact line to the ledger, creating the file if needed.
-    Safe for concurrent writers: the whole line is written with a single
-    flushed [output_string] under a process-local mutex, so parallel
-    scheduler workers cannot interleave partial lines. *)
+(** {!Jsonl.append} of {!to_json}: one compact line, creating the file
+    if needed, safe for concurrent writers. *)
 
 val load : path:string -> record list
-(** All parseable records, file order. Blank and malformed lines are
-    skipped (an append-only ledger shared between tool versions must
-    not be poisoned by one bad line). A missing file is an empty ledger. *)
+(** {!Jsonl.load} with {!of_json}: all parseable records, file order.
+    Blank and malformed lines are skipped (an append-only ledger shared
+    between tool versions must not be poisoned by one bad line). A
+    missing file is an empty ledger.
+    @raise Sys_error if the file exists but cannot be read. *)
 
 val last : record list -> record option
 

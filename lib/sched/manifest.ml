@@ -3,6 +3,7 @@ module Fault = Educhip_fault.Fault
 module Guard = Educhip_fault.Guard
 module Designs = Educhip_designs.Designs
 module Pdk = Educhip_pdk.Pdk
+module Linedsl = Educhip_util.Linedsl
 
 type job = {
   index : int;
@@ -36,31 +37,13 @@ let default_job =
   }
 
 let preset_of_string = function
-  | "open" -> Some Flow.Open_flow
-  | "commercial" -> Some Flow.Commercial_flow
-  | "teaching" -> Some Flow.Teaching_flow
-  | _ -> None
-
-(* split on runs of spaces/tabs *)
-let tokens line =
-  String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line)
-  |> List.filter (fun s -> s <> "")
-
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let key_value tok =
-  match String.index_opt tok '=' with
-  | Some i when i > 0 ->
-    Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-  | _ -> None
+  | "open" -> Ok Flow.Open_flow
+  | "commercial" -> Ok Flow.Commercial_flow
+  | "teaching" -> Ok Flow.Teaching_flow
+  | other -> Error (Printf.sprintf "unknown preset %s (open|commercial|teaching)" other)
 
 let parse_string ?(source = "<manifest>") text =
-  let fail line fmt =
-    Printf.ksprintf (fun msg -> invalid_arg (Printf.sprintf "%s:%d: %s" source line msg)) fmt
-  in
+  let fail = Linedsl.fail and key_value = Linedsl.key_value in
   let weights = ref [] in
   let jobs = ref [] in
   (* a tenant directive: "tenant NAME [weight=W]" *)
@@ -100,8 +83,8 @@ let parse_string ?(source = "<manifest>") text =
           job := { !job with priority = int_field lineno "priority" v ~min:1 }
         | Some ("preset", v) -> (
           match preset_of_string v with
-          | Some p -> job := { !job with preset = p }
-          | None -> fail lineno "unknown preset %s (open|commercial|teaching)" v)
+          | Ok p -> job := { !job with preset = p }
+          | Error msg -> fail lineno "%s" msg)
         | Some ("node", v) -> (
           match Pdk.find_node v with
           | _ -> job := { !job with node = v }
@@ -133,27 +116,22 @@ let parse_string ?(source = "<manifest>") text =
       jobs := !job :: !jobs
     done
   in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      match tokens (strip_comment line) with
-      | [] -> ()
-      | "tenant" :: rest -> parse_tenant lineno rest
-      | design :: rest -> parse_job lineno design rest)
-    (String.split_on_char '\n' text);
+  (try
+     List.iter
+       (function
+         | lineno, "tenant" :: rest -> parse_tenant lineno rest
+         | lineno, design :: rest -> parse_job lineno design rest
+         | _, [] -> ())
+       (Linedsl.lines text)
+   with Linedsl.Error (lineno, msg) ->
+     invalid_arg (Printf.sprintf "%s:%d: %s" source lineno msg));
   let jobs = List.rev !jobs in
   if jobs = [] then invalid_arg (Printf.sprintf "%s: manifest declares no jobs" source);
   { jobs = List.mapi (fun index j -> { j with index }) jobs;
     weights = List.rev !weights }
 
 let load ~path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse_string ~source:path text
+  parse_string ~source:path (In_channel.with_open_bin path In_channel.input_all)
 
 let job_summary j =
   let opt = Buffer.create 32 in

@@ -9,7 +9,8 @@
 
     {2 File format}
 
-    Line-based text; [#] starts a comment, blank lines are skipped.
+    Line-based text over {!Educhip_util.Linedsl}: [#] starts a comment,
+    blank lines are skipped, tokens are separated by spaces or tabs.
 
     - [tenant NAME weight=W] — declare a tenant's fair-share weight
       (default 1.0 for any tenant that only appears on jobs);
@@ -49,9 +50,10 @@ type t = {
   weights : (string * float) list;  (** declared tenant weights *)
 }
 
-val preset_of_string : string -> Educhip_flow.Flow.preset option
-(** ["open"] / ["commercial"] / ["teaching"] — the manifest (and wire
-    protocol) preset vocabulary. *)
+val preset_of_string : string -> (Educhip_flow.Flow.preset, string) result
+(** ["open"] / ["commercial"] / ["teaching"] — the manifest, wire
+    protocol and [eduflow run] preset vocabulary. [Error] carries the
+    one "unknown preset" message all three report. *)
 
 val default_job : job
 (** [index = 0], design [""], tenant ["default"], priority 1, open
@@ -66,7 +68,7 @@ val parse_string : ?source:string -> string -> t
     any malformed or unknown field. *)
 
 val load : path:string -> t
-(** {!parse_string} on the file's contents.
+(** {!parse_string} on the file's contents, [~source:path].
     @raise Sys_error if the file cannot be read. *)
 
 val job_summary : job -> string

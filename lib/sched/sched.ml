@@ -104,21 +104,24 @@ let engine_failure (job : Manifest.job) reason =
       ~fault_seed:job.fault_seed ~max_retries:job.retries (),
     false )
 
+let resolve (job : Manifest.job) =
+  let netlist = Designs.netlist (Designs.find job.design) in
+  let node = Pdk.find_node job.node in
+  (netlist, Flow.config ~node ?clock_period_ps:job.clock_ps job.preset)
+
+let resolved_key (job : Manifest.job) (netlist, cfg) =
+  Cache.job_key ~netlist ~cfg ~inject:job.inject ~fault_seed:job.fault_seed
+    ~retries:job.retries
+
+let job_key job = resolved_key job (resolve job)
+
 (* Run one job to a (verdict, ppa, record, from_cache) in the calling
    domain, or signal a worker crash by raising Fault.Injected
    (fault_site, _) when [crashes_left > 0]. Shared by the campaign
    engine's workers and {!run_one} (the service daemon's entry point). *)
 let exec_flow ?cache ?artifacts ~crashes_left (job : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find job.design) in
-  let node = Pdk.find_node job.node in
-  let cfg = Flow.config ~node ?clock_period_ps:job.clock_ps job.preset in
-  let key =
-    Option.map
-      (fun _ ->
-        Cache.job_key ~netlist ~cfg ~inject:job.inject ~fault_seed:job.fault_seed
-          ~retries:job.retries)
-      cache
-  in
+  let netlist, cfg = resolve job in
+  let key = Option.map (fun _ -> resolved_key job (netlist, cfg)) cache in
   let plan =
     job.inject
     @ (if crashes_left > 0 then [ Fault.arming ~count:1 fault_site Fault.Crash ] else [])

@@ -66,6 +66,20 @@ val is_failed : string -> bool
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count ()], capped to 16. *)
 
+val resolve : Manifest.job -> Educhip_netlist.Netlist.t * Educhip_flow.Flow.config
+(** The flow inputs a job names: its design's netlist, and the flow
+    config of its preset on its node with its clock override. The one
+    place a job becomes a flow run; the executor, the service's
+    admission probe and [batch --dry-run] predictions all resolve here.
+    @raise Not_found on an unknown design or node — {!Manifest} and
+    [Server.validate_spec] reject those first. *)
+
+val job_key : Manifest.job -> string
+(** {!Cache.job_key} over the {!resolve}d inputs and the job's fault
+    plan, seed and retries: the result-cache key. Equal keys mean
+    bit-identical results, which also makes it the cluster routing key.
+    @raise Not_found as {!resolve}. *)
+
 val run :
   ?workers:int ->
   ?cache:Cache.t ->

@@ -1,4 +1,5 @@
 module Jsonout = Educhip_obs.Jsonout
+module Jsonl = Educhip_obs.Jsonl
 module Crc32 = Educhip_util.Crc32
 
 let magic = "EDUJ1"
@@ -127,23 +128,10 @@ let path t = t.jpath
 type loaded = { entries : entry list; dropped : int }
 
 let load ~path =
-  match open_in_bin path with
-  | exception Sys_error _ -> { entries = []; dropped = 0 }
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let text = really_input_string ic (in_channel_length ic) in
-        let lines = String.split_on_char '\n' text in
-        let entries = ref [] and dropped = ref 0 in
-        List.iter
-          (fun line ->
-            if line <> "" then
-              match entry_of_line line with
-              | Ok e -> entries := e :: !entries
-              | Error _ -> incr dropped)
-          lines;
-        { entries = List.rev !entries; dropped = !dropped })
+  let entries, dropped =
+    Jsonl.load ~path (fun line -> Result.to_option (entry_of_line line))
+  in
+  { entries; dropped }
 
 type recovery = {
   pending : (string * Wire.submit_spec) list;

@@ -25,12 +25,15 @@
       exact wire form ({!Wire.submit_to_json}), so the journal speaks
       the same tolerant, forward-compatible dialect as the socket.
 
-    {!load} is torn-tail tolerant: a crash mid-append leaves a partial
+    {!load} reads through the shared {!Educhip_obs.Jsonl} loader and
+    is torn-tail tolerant: a crash mid-append leaves a partial
     final line, which is discarded (and counted) instead of poisoning
     the log. Every complete, checksummed prefix entry survives.
 
     Writes are fsync'd per entry: {!append} returns only once the entry
-    is on disk, which is what makes "accepted" a durable promise. *)
+    is on disk, which is what makes "accepted" a durable promise. That
+    is why appends here keep their own fd and do not go through
+    {!Educhip_obs.Jsonl.append}, which only flushes. *)
 
 type entry =
   | Accepted of { id : string; spec : Wire.submit_spec }
@@ -82,8 +85,11 @@ type loaded = {
 }
 
 val load : path:string -> loaded
-(** A missing file is an empty journal. Never raises on content: every
-    malformed line is dropped and counted. *)
+(** {!Educhip_obs.Jsonl.load} with {!entry_of_line} as the decoder. A
+    missing file is an empty journal. Never raises on content: every
+    malformed line is dropped and counted.
+    @raise Sys_error if the file exists but cannot be read — recovery
+    must not mistake an unreadable journal for an empty one. *)
 
 type recovery = {
   pending : (string * Wire.submit_spec) list;

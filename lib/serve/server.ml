@@ -465,9 +465,8 @@ let validate_spec (s : Wire.submit_spec) =
     | exception Not_found -> Error (Printf.sprintf "unknown node %s" s.Wire.node)
     | _ -> (
       match Manifest.preset_of_string s.Wire.preset with
-      | None ->
-        Error (Printf.sprintf "unknown preset %s (open|commercial|teaching)" s.Wire.preset)
-      | Some preset -> (
+      | Error msg -> Error msg
+      | Ok preset -> (
         match List.map Fault.arming_of_string s.Wire.inject with
         | exception Invalid_argument msg -> Error msg
         | inject ->
@@ -489,16 +488,6 @@ let validate_spec (s : Wire.submit_spec) =
                   Option.value s.Wire.retries ~default:Manifest.default_job.Manifest.retries;
               })))
 
-(* The content-addressed identity of a validated job — the result-cache
-   key, and (because equal keys mean bit-identical results) the routing
-   key a cluster router shards submissions by. *)
-let job_key (job : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find job.Manifest.design) in
-  let node = Pdk.find_node job.Manifest.node in
-  let cfg = Flow.config ~node ?clock_period_ps:job.Manifest.clock_ps job.Manifest.preset in
-  Cache.job_key ~netlist ~cfg ~inject:job.Manifest.inject
-    ~fault_seed:job.Manifest.fault_seed ~retries:job.Manifest.retries
-
 (* Probe the result cache at admission: a warm submit is finished on the
    spot — no queue slot, no worker, no inflight charge. Runs outside
    [t.mutex]: the cache locks itself, so admissions, polls and stats
@@ -507,7 +496,7 @@ let cached_result t (job : Manifest.job) =
   match t.cfg.cache with
   | None -> None
   | Some cache ->
-    let key = job_key job in
+    let key = Sched.job_key job in
     Option.map
       (fun (e : Cache.entry) ->
         {

@@ -171,18 +171,9 @@ val validate_spec :
     node, and preset resolved, fault armings parsed, priority checked.
     [Error] is the human-readable reason a server answers as
     [Rejected Bad_request]. Exposed so a cluster router can refuse
-    invalid submissions locally — and compute {!job_key} — without
-    spending a replica round trip. *)
-
-val job_key : Educhip_sched.Manifest.job -> string
-(** The content-addressed identity of a validated job — exactly the
-    result-cache key ({!Educhip_sched.Cache.job_key} over the
-    elaborated netlist, flow config, and fault plan). Two submissions
-    with equal keys produce bit-identical results, which is what makes
-    it the cluster routing key: hashing it onto a replica ring gives
-    every resubmission cache affinity with its first run.
-    @raise Not_found on a job naming an unknown design or node —
-    validate first. *)
+    invalid submissions locally — and compute its
+    {!Educhip_sched.Sched.job_key} — without spending a replica round
+    trip. *)
 
 val metric_names : string list
 (** Counter families the server reports: [serve.admitted],

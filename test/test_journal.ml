@@ -2,6 +2,9 @@ module Wire = Educhip_serve.Wire
 module Journal = Educhip_serve.Journal
 module Client = Educhip_serve.Client
 module Tracectx = Educhip_obs.Tracectx
+module Jsonl = Educhip_obs.Jsonl
+module Runlog = Educhip_obs.Runlog
+module Alertlog = Educhip_mon.Alertlog
 
 let check = Alcotest.check
 
@@ -220,6 +223,32 @@ let test_backoff_schedule () =
   let other = Client.backoff_schedule { policy with Client.seed = 10 } in
   check Alcotest.bool "different seed, different jitter" false (a = other)
 
+(* {2 The shared line-log loader} *)
+
+let test_jsonl_load_contract () =
+  with_journal_path (fun path ->
+      append_raw path "1\n\nx\n 2\n3\r\n4";
+      check
+        Alcotest.(pair (list string) int)
+        "lines reach the decoder byte-exact, empty ones skipped"
+        ([ "1"; "x"; " 2"; "3\r"; "4" ], 0)
+        (Jsonl.load ~path Option.some);
+      check
+        Alcotest.(pair (list int) int)
+        "None and Failure both drop and count" ([ 1; 4 ], 3)
+        (Jsonl.load ~path (fun l -> if l = "x" then None else Some (int_of_string l))));
+  check
+    Alcotest.(pair (list string) int)
+    "missing file" ([], 0)
+    (Jsonl.load ~path:(temp_journal ()) Option.some);
+  (* a path that exists but cannot be read as a file: every log
+     raises instead of reading as empty *)
+  let dir = Filename.get_temp_dir_name () in
+  let raises f = match f () with _ -> false | exception Sys_error _ -> true in
+  check Alcotest.bool "ledger" true (raises (fun () -> Runlog.load ~path:dir));
+  check Alcotest.bool "alert log" true (raises (fun () -> Alertlog.load ~path:dir));
+  check Alcotest.bool "journal" true (raises (fun () -> Journal.load ~path:dir))
+
 let suite =
   [
     Alcotest.test_case "entry line round-trip" `Quick test_entry_roundtrip;
@@ -230,4 +259,6 @@ let suite =
     Alcotest.test_case "recovery order and shape" `Quick test_recover_order_and_shape;
     Alcotest.test_case "compaction" `Quick test_compact;
     Alcotest.test_case "client backoff schedule" `Quick test_backoff_schedule;
+    Alcotest.test_case "jsonl load: byte-exact, drops counted, unreadable raises" `Quick
+      test_jsonl_load_contract;
   ]
