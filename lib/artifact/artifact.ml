@@ -60,7 +60,8 @@ let entry_of_json j =
 (* The decode context accumulates as the warm prefix restores: each
    restored netlist (synthesis, sizing, buffering) becomes the netlist a
    later placement decode builds on; the restored placement becomes the
-   placement a routing decode builds on. Because [Flow.run_guarded] only
+   placement a routing decode builds on, and the restored routed DB the
+   one the GDS layout is rebuilt from. Because [Flow.run_guarded] only
    probes while every previous step replayed, a step's context is always
    complete by the time its decode runs. *)
 let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
@@ -69,12 +70,12 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
   let node = cfg.Flow.node in
   let last_netlist = ref None in
   let last_place = ref None in
+  let last_route = ref None in
   let track = function
     | Flow.S_synth (n, _) | Flow.S_netlist n -> last_netlist := Some n
     | Flow.S_place p -> last_place := Some p
-    | Flow.S_cts _ | Flow.S_route _ | Flow.S_timing _ | Flow.S_power _
-    | Flow.S_drc _ | Flow.S_gds _ ->
-      ()
+    | Flow.S_route r -> last_route := Some r
+    | Flow.S_cts _ | Flow.S_timing _ | Flow.S_power _ | Flow.S_drc _ | Flow.S_gds _ -> ()
   in
   let memo_probe step =
     match List.assoc_opt step keys with
@@ -89,6 +90,7 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
             node;
             netlist = !last_netlist;
             placement = !last_place;
+            routed = !last_route;
           }
         in
         match Codec.state_of_json ctx ~tag:e.tag e.state with

@@ -403,59 +403,6 @@ let route_of_json ~placement j =
   | r -> r
   | exception Invalid_argument m -> fail m
 
-let layer_to_int = Gds.layer_number
-
-let layer_of_int = function
-  | 0 -> Gds.Outline
-  | 1 -> Gds.Row
-  | 2 -> Gds.Cell_body
-  | 3 -> Gds.Metal_h
-  | 4 -> Gds.Metal_v
-  | 5 -> Gds.Via
-  | n -> fail (Printf.sprintf "unknown gds layer %d" n)
-
-let gds_to_json (g : Gds.t) =
-  (* design_name is excluded like the netlist name: the restoring run
-     re-labels the layout with its own design name *)
-  J.Obj
-    [
-      ("die_w", J.Float g.Gds.die_w);
-      ("die_h", J.Float g.Gds.die_h);
-      ( "rects",
-        J.List
-          (List.map
-             (fun (r : Gds.rect) ->
-               J.List
-                 [
-                   J.Int (layer_to_int r.Gds.layer);
-                   J.Float r.Gds.x0;
-                   J.Float r.Gds.y0;
-                   J.Float r.Gds.x1;
-                   J.Float r.Gds.y1;
-                 ])
-             g.Gds.rects) );
-    ]
-
-let gds_of_json ~design_name j : Gds.t =
-  {
-    Gds.design_name;
-    die_w = float_field "die_w" j;
-    die_h = float_field "die_h" j;
-    rects =
-      List.map
-        (function
-          | J.List [ layer; x0; y0; x1; y1 ] ->
-            {
-              Gds.layer = layer_of_int (to_int layer);
-              x0 = to_float x0;
-              y0 = to_float y0;
-              x1 = to_float x1;
-              y1 = to_float y1;
-            }
-          | _ -> fail "bad rect row")
-        (to_list (member "rects" j));
-  }
-
 (* {2 Step reports and exec records} *)
 
 let report_to_json (r : Flow.step_report) =
@@ -501,6 +448,7 @@ type ctx = {
   node : Pdk.node;
   netlist : Netlist.t option;
   placement : Place.t option;
+  routed : Route.t option;
 }
 
 let state_to_json = function
@@ -514,7 +462,7 @@ let state_to_json = function
   | Flow.S_timing t -> ("timing", timing_report_to_json t)
   | Flow.S_power p -> ("power", power_report_to_json p)
   | Flow.S_drc d -> ("drc", drc_report_to_json d)
-  | Flow.S_gds g -> ("gds", gds_to_json g)
+  | Flow.S_gds _ -> ("gds", J.Null)
 
 let state_of_json ctx ~tag j =
   match tag with
@@ -536,5 +484,11 @@ let state_of_json ctx ~tag j =
   | "timing" -> Some (Flow.S_timing (timing_report_of_json j))
   | "power" -> Some (Flow.S_power (power_report_of_json j))
   | "drc" -> Some (Flow.S_drc (drc_report_of_json j))
-  | "gds" -> Some (Flow.S_gds (gds_of_json ~design_name:ctx.design_name j))
+  | "gds" -> (
+    (* the layout is a pure function of the routed DB, so it is rebuilt,
+       not stored; the payload (null, or a full layout written by an
+       older store) is ignored *)
+    match ctx.routed with
+    | None -> None
+    | Some routed -> Some (Flow.S_gds (Gds.build routed)))
   | t -> fail ("unknown state tag " ^ t)

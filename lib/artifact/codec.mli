@@ -1,12 +1,13 @@
 (** Step-state (de)serialization for the artifact store.
 
     Snapshots are plain {!Educhip_obs.Jsonout} values, human-inspectable
-    on disk like every other educhip artifact. Two deliberate omissions
-    keep snapshots tenant-neutral: the netlist's display name and the
-    GDS [design_name] are {e not} stored — content addressing keys on
-    the structural digest, so structurally identical designs from
-    different tenants share artifacts, and each restoring run re-labels
-    the state with its own design name from the decode {!ctx}. *)
+    on disk like every other educhip artifact. The netlist's display
+    name is deliberately {e not} stored, which keeps snapshots
+    tenant-neutral — content addressing keys on the structural digest,
+    so structurally identical designs from different tenants share
+    artifacts, and each restoring run re-labels the state with its own
+    design name from the decode {!ctx}. The GDS layout is not stored at
+    all: it is rebuilt from the restored routed DB. *)
 
 type ctx = {
   design_name : string;  (** re-applied to restored netlists and layouts *)
@@ -17,12 +18,17 @@ type ctx = {
   placement : Educhip_place.Place.t option;
       (** the placement restored earlier in the chain; needed to rebuild
           routing *)
+  routed : Educhip_route.Route.t option;
+      (** the routed DB restored earlier in the chain; the GDS layout is
+          rebuilt from it rather than stored *)
 }
 (** Everything a decode needs that is deliberately not stored. *)
 
 val state_to_json : Educhip_flow.Flow.step_state -> string * Educhip_obs.Jsonout.t
 (** [(tag, payload)] — the tag names the state's constructor and is
-    stored alongside the payload for decode dispatch. *)
+    stored alongside the payload for decode dispatch. The [gds] payload
+    is [null]: the layout is [Gds.build] of the routed DB, so a decode
+    rebuilds it from the context's [routed]. *)
 
 val state_of_json :
   ctx -> tag:string -> Educhip_obs.Jsonout.t -> Educhip_flow.Flow.step_state option

@@ -28,28 +28,39 @@ let count t name n = Obs.add_counter (t.ns ^ "." ^ name) n
 let entry_path t key = Filename.concat t.dir (key ^ ".json")
 
 (* On-disk form: the owner's object with a trailing [crc] member holding
-   the CRC-32 of the serialized object without that member. [Jsonout]
-   round-trips exactly, so stripping [crc] from the parse and
-   re-serializing reproduces the checksummed bytes iff the payload is
-   intact. An entry without a [crc] is corrupt. *)
+   the CRC-32 of the serialized object without that member, i.e. of the
+   file's bytes up to the spliced [,"crc":"…"] plus the closing brace.
+   A read checks those raw bytes before parsing them, so any change to
+   them — a flipped bit or a re-serialization — fails the check. An
+   entry without a [crc] is corrupt. *)
+let crc_open = "\"crc\":\""
+
 let to_disk = function
   | Jsonout.Obj fields as obj when not (List.mem_assoc "crc" fields) ->
     let payload = Jsonout.to_string obj in
     let crc = Crc32.to_hex (Crc32.digest payload) in
     (* splice the crc member in front of the closing brace *)
     String.sub payload 0 (String.length payload - 1)
-    ^ Printf.sprintf "%s\"crc\":\"%s\"}\n" (if fields = [] then "" else ",") crc
+    ^ Printf.sprintf "%s%s%s\"}\n" (if fields = [] then "" else ",") crc_open crc
   | _ -> invalid_arg "Store.put: entry must be an object without a crc member"
 
 let of_disk text =
-  match Jsonout.of_string text with
-  | Jsonout.Obj fields -> (
-    let payload = Jsonout.Obj (List.filter (fun (k, _) -> k <> "crc") fields) in
-    match List.assoc_opt "crc" fields with
-    | Some (Jsonout.String hex)
-      when Crc32.of_hex hex = Some (Crc32.digest (Jsonout.to_string payload)) ->
-      payload
-    | _ -> failwith "store entry: missing or mismatched crc")
+  (* the tail is exactly [,"crc":"xxxxxxxx"}\n], the comma absent for an
+     empty object *)
+  let n = String.length text in
+  let hex_at = n - 11 in
+  let member_at = hex_at - String.length crc_open in
+  if
+    member_at < 1
+    || (not (String.ends_with ~suffix:"\"}\n" text))
+    || String.sub text member_at (String.length crc_open) <> crc_open
+  then failwith "store entry: missing crc";
+  let body_end = if text.[member_at - 1] = ',' then member_at - 1 else member_at in
+  let body = String.sub text 0 body_end ^ "}" in
+  if Crc32.of_hex (String.sub text hex_at 8) <> Some (Crc32.digest body) then
+    failwith "store entry: mismatched crc";
+  match Jsonout.of_string body with
+  | Jsonout.Obj _ as payload -> payload
   | _ -> failwith "store entry: not an object"
 
 let read path =

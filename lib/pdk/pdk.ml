@@ -327,18 +327,45 @@ let instantiate node template drive =
     leakage_nw = template.t_leak *. leakage_factor node *. df;
   }
 
-let library node =
+type cell_table = { cells : cell list; by_name : (string, cell) Hashtbl.t }
+
+let build_table node =
   let combinational =
     List.concat_map
       (fun t -> List.map (fun drive -> instantiate node t drive) t.t_drives)
       templates
   in
-  combinational @ [ instantiate node dff_template 1 ]
+  let cells = combinational @ [ instantiate node dff_template 1 ] in
+  let by_name = Hashtbl.create 64 in
+  (* first match wins, as a scan of [cells] would *)
+  List.iter
+    (fun c -> if not (Hashtbl.mem by_name c.cell_name) then Hashtbl.add by_name c.cell_name c)
+    cells;
+  { cells; by_name }
 
-let find_cell node name =
-  match List.find_opt (fun c -> c.cell_name = name) (library node) with
-  | Some c -> c
-  | None -> raise Not_found
+(* One table per node, built on the node's first use: STA, sizing, power
+   and placement look cells up thousands of times per job. Published as
+   an immutable assoc list behind an [Atomic] so worker domains share it
+   without a lock; a [lazy] forced by two domains at once raises. Nodes
+   are keyed physically first (the {!nodes} values every caller passes),
+   then structurally, so a copied node record still finds its table. *)
+let tables : (node * cell_table) list Atomic.t = Atomic.make []
+
+let rec table node =
+  let known = Atomic.get tables in
+  match List.assq_opt node known with
+  | Some t -> t
+  | None -> (
+    match List.assoc_opt node known with
+    | Some t -> t
+    | None ->
+      let t = build_table node in
+      (* a domain that lost the race retries and finds the winner's table *)
+      if Atomic.compare_and_set tables known ((node, t) :: known) then t else table node)
+
+let library node = (table node).cells
+
+let find_cell node name = Hashtbl.find (table node).by_name name
 
 let inverter node = find_cell node "INV_X1"
 

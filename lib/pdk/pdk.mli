@@ -63,10 +63,14 @@ val open_nodes : unit -> node list
 val library : node -> cell list
 (** The standard-cell library scaled to the node: inverter/buffer and the
     2-input gates in X1/X2/X4 drive strengths, 3-input and complex cells
-    (AOI21, OAI21, MAJ3, MUX2) in X1, plus the flip-flop [DFF_X1]. *)
+    (AOI21, OAI21, MAJ3, MUX2) in X1, plus the flip-flop [DFF_X1]. Built
+    once per node, on its first use; later calls, from any domain,
+    return the same list. *)
 
 val find_cell : node -> string -> cell
-(** @raise Not_found for an unknown cell name. *)
+(** The first cell of {!library} with that name, by table lookup: every
+    call for one node and name returns the same (physically equal) cell.
+    @raise Not_found for an unknown cell name. *)
 
 val inverter : node -> cell
 (** The X1 inverter (mapping inserts it for complemented literals). *)

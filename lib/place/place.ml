@@ -300,36 +300,50 @@ let place netlist ~node ?(utilization = 0.65) effort =
       Obs.with_span "place.anneal"
         ~attrs:[ ("moves", Obs.Int effort.annealing_moves) ]
       @@ fun () -> begin
-      (* nets touching each cell *)
-      let touching = Array.make n [] in
-      Array.iteri
-        (fun net_idx (driver, sinks) ->
-          touching.(driver) <- net_idx :: touching.(driver);
-          List.iter (fun s -> touching.(s) <- net_idx :: touching.(s)) sinks)
-        nets;
-      let net_cost idx =
-        let driver, sinks = nets.(idx) in
-        let min_x = ref xs.(driver) and max_x = ref xs.(driver) in
-        let min_y = ref ys.(driver) and max_y = ref ys.(driver) in
-        List.iter
-          (fun s ->
-            if xs.(s) < !min_x then min_x := xs.(s);
-            if xs.(s) > !max_x then max_x := xs.(s);
-            if ys.(s) < !min_y then min_y := ys.(s);
-            if ys.(s) > !max_y then max_y := ys.(s))
-          sinks;
-        !max_x -. !min_x +. (!max_y -. !min_y)
+      (* nets touching each cell, most recently added net first; a cell
+         feeding one net twice lists it twice *)
+      let touching =
+        let lists = Array.make n [] in
+        Array.iteri
+          (fun net_idx (driver, sinks) ->
+            lists.(driver) <- net_idx :: lists.(driver);
+            List.iter (fun s -> lists.(s) <- net_idx :: lists.(s)) sinks)
+          nets;
+        Array.map Array.of_list lists
       in
+      let drivers = Array.map fst nets in
+      let sinks = Array.map (fun (_, s) -> Array.of_list s) nets in
+      (* The HPWL of the nets touching [a] or [b], each counted once: a
+         net is summed on its first visit in the order touching.(a) then
+         touching.(b), and stamped with this call's epoch so a repeat is
+         skipped. The order fixes the float sum the accept test compares,
+         so it must not change. One flat loop: a move allocates no table
+         or list. *)
+      let stamp = Array.make (Array.length nets) 0 in
+      let epoch = ref 0 in
       let local_cost a b =
-        let seen = Hashtbl.create 8 in
+        incr epoch;
+        let e = !epoch in
+        let ta = touching.(a) and tb = touching.(b) in
+        let na = Array.length ta in
         let sum = ref 0.0 in
-        List.iter
-          (fun idx ->
-            if not (Hashtbl.mem seen idx) then begin
-              Hashtbl.replace seen idx ();
-              sum := !sum +. net_cost idx
-            end)
-          (touching.(a) @ touching.(b));
+        for i = 0 to na + Array.length tb - 1 do
+          let idx = if i < na then ta.(i) else tb.(i - na) in
+          if stamp.(idx) <> e then begin
+            stamp.(idx) <- e;
+            let driver = drivers.(idx) and pins = sinks.(idx) in
+            let min_x = ref xs.(driver) and max_x = ref xs.(driver) in
+            let min_y = ref ys.(driver) and max_y = ref ys.(driver) in
+            for j = 0 to Array.length pins - 1 do
+              let s = pins.(j) in
+              if xs.(s) < !min_x then min_x := xs.(s);
+              if xs.(s) > !max_x then max_x := xs.(s);
+              if ys.(s) < !min_y then min_y := ys.(s);
+              if ys.(s) > !max_y then max_y := ys.(s)
+            done;
+            sum := !sum +. (!max_x -. !min_x +. (!max_y -. !min_y))
+          end
+        done;
         !sum
       in
       let temperature = ref (!die_w /. 4.0) in
@@ -395,14 +409,18 @@ let net_hpwl_of t (driver, sinks) =
 
 let hpwl_um t = Array.fold_left (fun acc net -> acc +. net_hpwl_of t net) 0.0 t.nets
 
+(* [t.nets] is in ascending driver order ({!build_nets}): binary search *)
 let net_hpwl_um t driver =
-  let rec find i =
-    if i >= Array.length t.nets then 0.0
+  let rec find lo hi =
+    if lo >= hi then 0.0
     else
-      let d, sinks = t.nets.(i) in
-      if d = driver then net_hpwl_of t (d, sinks) else find (i + 1)
+      let mid = (lo + hi) / 2 in
+      let d, _ = t.nets.(mid) in
+      if d = driver then net_hpwl_of t t.nets.(mid)
+      else if d < driver then find (mid + 1) hi
+      else find lo mid
   in
-  find 0
+  find 0 (Array.length t.nets)
 
 let check_legal t =
   let problems = ref [] in

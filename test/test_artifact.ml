@@ -2,6 +2,7 @@ module Flow = Educhip_flow.Flow
 module Pdk = Educhip_pdk.Pdk
 module Place = Educhip_place.Place
 module Route = Educhip_route.Route
+module Gds = Educhip_gds.Gds
 module Synth = Educhip_synth.Synth
 module Designs = Educhip_designs.Designs
 module Netlist = Educhip_netlist.Netlist
@@ -205,6 +206,8 @@ let test_full_replay_and_lru_cap () =
   let warm = run_with ~memo cfg in
   check Alcotest.bool "full replay bit-identical" true
     (cold.Flow.ppa = warm.Flow.ppa && cold.Flow.execs = warm.Flow.execs);
+  check Alcotest.bool "replayed GDS stream identical" true
+    (Gds.to_gds_bytes cold.Flow.layout = Gds.to_gds_bytes warm.Flow.layout);
   check Alcotest.int "store capped at max_entries" 10 (Astore.entries store);
   (* an RTL change under a full store evicts oldest entries instead of
      growing past the cap *)
@@ -214,6 +217,52 @@ let test_full_replay_and_lru_cap () =
   | Flow.Completed _ -> ()
   | Flow.Aborted a -> Alcotest.failf "flow aborted: %s" a.Flow.failed_step);
   check Alcotest.int "eviction holds the cap" 10 (Astore.entries store)
+
+(* A [gds] entry written before layouts were rebuilt from the routed DB
+   carries the full layout as its state; the decode ignores it and the
+   replay still yields the cold run's stream. *)
+let test_legacy_gds_entry_replays () =
+  with_store_dir @@ fun dir ->
+  let store = Astore.create ~dir () in
+  let cfg = Flow.config ~node:node130 Flow.Open_flow in
+  let memo = Artifact.memo ~store ~netlist:counter ~cfg ~inject:[] ~fault_seed:1 ~retries:2 in
+  let cold = run_with ~memo cfg in
+  let layout = cold.Flow.layout in
+  let legacy_state =
+    Jsonout.Obj
+      [
+        ("die_w", Jsonout.Float layout.Gds.die_w);
+        ("die_h", Jsonout.Float layout.Gds.die_h);
+        ( "rects",
+          Jsonout.List
+            (List.map
+               (fun (r : Gds.rect) ->
+                 Jsonout.List
+                   [
+                     Jsonout.Int (Gds.layer_number r.Gds.layer);
+                     Jsonout.Float r.Gds.x0;
+                     Jsonout.Float r.Gds.y0;
+                     Jsonout.Float r.Gds.x1;
+                     Jsonout.Float r.Gds.y1;
+                   ])
+               layout.Gds.rects) );
+      ]
+  in
+  let key = List.assoc "gds" (chain_of cfg) in
+  (match Astore.get store key Fun.id with
+  | Some (Jsonout.Obj fields) ->
+    check Alcotest.bool "new entries carry no geometry" true
+      (List.assoc "state" fields = Jsonout.Null);
+    Astore.put store key
+      (Jsonout.Obj
+         (List.map (fun (k, v) -> if k = "state" then (k, legacy_state) else (k, v)) fields))
+  | _ -> Alcotest.fail "no gds entry stored");
+  let warm = run_with ~memo cfg in
+  check Alcotest.int "legacy entry read, nothing quarantined" 0 (Astore.quarantined store);
+  (* replayed reports carry the cold run's wall times: every step replayed *)
+  check Alcotest.bool "full replay" true (cold.Flow.steps = warm.Flow.steps);
+  check Alcotest.bool "legacy entry replays the same stream" true
+    (Gds.to_gds_bytes cold.Flow.layout = Gds.to_gds_bytes warm.Flow.layout)
 
 let test_corrupt_artifact_quarantined () =
   with_store_dir @@ fun dir ->
@@ -244,9 +293,13 @@ let test_corrupt_artifact_quarantined () =
 
    Any owner object round-trips exactly; after any single-byte flip of
    its file, a read returns either the original object (the flip landed
-   somewhere harmless, like the trailing newline turned into a space) or
-   a miss that quarantines exactly that file — never a different object.
-   An object that already carries a [crc] member is refused. *)
+   somewhere harmless, like a hex digit of the crc changing case) or a
+   miss that quarantines exactly that file — never a different object.
+   The check covers the raw bytes, so an entry re-serialized into
+   another layout (pretty-printed) is also a quarantined miss. An object
+   that already carries a [crc] member is refused. *)
+
+type damage = Flip of int * int | Reserialize
 
 let store_case =
   let open QCheck.Gen in
@@ -256,13 +309,21 @@ let store_case =
   let obj =
     map2 (fun v crc -> Jsonout.Obj (("payload", v) :: crc)) Test_obs.json_gen crc_member
   in
+  let damage =
+    frequency
+      [ (4, map2 (fun i x -> Flip (i, x)) nat (int_range 1 255)); (1, return Reserialize) ]
+  in
   QCheck.make
-    ~print:(fun (o, i, x) -> Printf.sprintf "flip byte %d ^ %d of %s" i x (Jsonout.to_string o))
-    (triple obj nat (int_range 1 255))
+    ~print:(fun (o, d) ->
+      (match d with
+      | Flip (i, x) -> Printf.sprintf "flip byte %d ^ %d of " i x
+      | Reserialize -> "pretty-print ")
+      ^ Jsonout.to_string o)
+    (pair obj damage)
 
 let prop_store_put_get_flip =
   QCheck.Test.make ~name:"store: exact round trip, a flipped byte never reads as another object"
-    ~count:300 store_case (fun (obj, pos, mask) ->
+    ~count:300 store_case (fun (obj, damage) ->
       with_store_dir @@ fun dir ->
       let store = Astore.create ~dir () in
       match Astore.put store "k" obj with
@@ -271,23 +332,33 @@ let prop_store_put_get_flip =
       | () ->
         let path = Filename.concat dir "k.json" in
         let exact = Astore.get store "k" Fun.id = Some obj in
-        let text = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
-        let i = pos mod Bytes.length text in
-        Bytes.set text i (Char.chr (Char.code (Bytes.get text i) lxor mask));
-        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc text);
-        let after_flip =
-          match Astore.get store "k" Fun.id with
-          | Some o -> o = obj && Astore.quarantined store = 0
-          | None ->
-            Astore.quarantined store = 1
-            && (not (Sys.file_exists path))
-            && Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") "k.json")
+        let text = In_channel.with_open_bin path In_channel.input_all in
+        let damaged =
+          match damage with
+          | Flip (pos, mask) ->
+            let b = Bytes.of_string text in
+            let i = pos mod Bytes.length b in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+            Bytes.to_string b
+          | Reserialize -> Jsonout.to_string ~pretty:true (Jsonout.of_string text) ^ "\n"
+        in
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc damaged);
+        let quarantined_miss () =
+          Astore.quarantined store = 1
+          && (not (Sys.file_exists path))
+          && Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") "k.json")
+        in
+        let after_damage =
+          match (Astore.get store "k" Fun.id, damage) with
+          | Some o, Flip _ -> o = obj && Astore.quarantined store = 0
+          | Some _, Reserialize -> false
+          | None, _ -> quarantined_miss ()
         in
         (* the entry and the quarantine are all there is: no temp file left *)
         let no_temp =
           Array.for_all (fun n -> n = "k.json" || n = "quarantine") (Sys.readdir dir)
         in
-        Jsonout.member "crc" obj = None && exact && after_flip && no_temp)
+        Jsonout.member "crc" obj = None && exact && after_damage && no_temp)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain; prop_store_put_get_flip ]
@@ -297,5 +368,6 @@ let suite =
       ("fault slice locality", `Quick, test_fault_slice_locality);
       ("warm rerun bit-identical", `Quick, test_warm_rerun_bit_identical);
       ("full replay and LRU cap", `Quick, test_full_replay_and_lru_cap);
+      ("legacy gds entry replays", `Quick, test_legacy_gds_entry_replays);
       ("corrupt artifact quarantined", `Quick, test_corrupt_artifact_quarantined);
     ]

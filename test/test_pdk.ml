@@ -134,6 +134,32 @@ let test_all_two_input_functions_coverable () =
       check Alcotest.bool (Printf.sprintf "table %d" t) true (Hashtbl.mem achievable t))
     [ 0b1000; 0b0100; 0b0010; 0b0001; 0b0111; 0b1011; 0b1101; 0b1110; 0b0110; 0b1001 ]
 
+(* Each node's cell table is built once: every lookup returns the same
+   cell, a structurally equal copy of a node shares its table, and the
+   table equals a library instantiated afresh (for a node record that
+   differs only in a field no cell depends on). *)
+let test_cell_table_shared () =
+  List.iter
+    (fun node ->
+      let name = node.Pdk.node_name in
+      let lib = Pdk.library node in
+      List.iter
+        (fun c ->
+          let n = c.Pdk.cell_name in
+          check Alcotest.bool (name ^ " " ^ n ^ " shared") true
+            (Pdk.find_cell node n == Pdk.find_cell node n);
+          check Alcotest.bool (name ^ " " ^ n ^ " first match") true
+            (Pdk.find_cell node n == List.find (fun c -> c.Pdk.cell_name = n) lib))
+        lib;
+      let copy = { node with Pdk.node_name = name } in
+      check Alcotest.bool (name ^ " copy shares the table") true
+        (Pdk.library copy == lib);
+      let other = { node with Pdk.mpw_cost_eur_per_mm2 = node.Pdk.mpw_cost_eur_per_mm2 +. 1.0 } in
+      let fresh = Pdk.library other in
+      check Alcotest.bool (name ^ " fresh library built") true (fresh != lib);
+      check Alcotest.bool (name ^ " fresh library equal") true (fresh = lib))
+    Pdk.nodes
+
 let suite =
   [
     Alcotest.test_case "node inventory" `Quick test_node_inventory;
@@ -148,4 +174,5 @@ let suite =
     Alcotest.test_case "dff" `Quick test_dff;
     Alcotest.test_case "wire model" `Quick test_wire_model;
     Alcotest.test_case "2-input completeness" `Quick test_all_two_input_functions_coverable;
+    Alcotest.test_case "cell table shared" `Quick test_cell_table_shared;
   ]

@@ -3,6 +3,7 @@ module Synth = Educhip_synth.Synth
 module Pdk = Educhip_pdk.Pdk
 module Netlist = Educhip_netlist.Netlist
 module Designs = Educhip_designs.Designs
+module Obs = Educhip_obs.Obs
 
 let check = Alcotest.check
 
@@ -103,6 +104,32 @@ let test_empty_netlist_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Place.place: empty netlist") (fun () ->
       ignore (Place.place empty ~node Place.default_effort))
 
+(* The annealer's result pinned bit for bit: any change to its cost
+   arithmetic, summation order or RNG draws moves these values. *)
+let pinned =
+  [
+    ("adder8", "default", 0x1.e42607b8f5d9ep+8, 351);
+    ("adder8", "high", 0x1.efca6f0b1d00fp+8, 1219);
+    ("alu8", "default", 0x1.eaac4aefc3a89p+11, 605);
+    ("alu8", "high", 0x1.a26fe0df246f1p+11, 1841);
+    ("gray8", "default", 0x1.695b9c8b03f61p+8, 336);
+    ("gray8", "high", 0x1.6fa3bccbd798fp+8, 1526);
+  ]
+
+let test_anneal_pinned () =
+  List.iter
+    (fun (name, effort_name, hpwl, accepted) ->
+      let effort = if effort_name = "high" then Place.high_effort else Place.default_effort in
+      let mapped = mapped_design name in
+      let c = Obs.create () in
+      let placement = Obs.with_collector c (fun () -> Place.place mapped ~node effort) in
+      let label = name ^ " " ^ effort_name in
+      check Alcotest.string (label ^ " hpwl") (Printf.sprintf "%h" hpwl)
+        (Printf.sprintf "%h" (Place.hpwl_um placement));
+      check Alcotest.int (label ^ " moves accepted") accepted
+        (Obs.counter_value c "place.moves_accepted"))
+    pinned
+
 let prop_random_designs_place_legally =
   QCheck.Test.make ~name:"random mapped designs place legally" ~count:15 QCheck.small_nat
     (fun seed ->
@@ -125,5 +152,6 @@ let suite =
     Alcotest.test_case "die scales with area" `Quick test_die_scales_with_area;
     Alcotest.test_case "nets cover fanout" `Quick test_nets_cover_fanout;
     Alcotest.test_case "empty netlist rejected" `Quick test_empty_netlist_rejected;
+    Alcotest.test_case "anneal pinned" `Quick test_anneal_pinned;
   ]
   @ qsuite
